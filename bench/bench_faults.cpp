@@ -90,7 +90,7 @@ int main() {
         std::unique_ptr<faults::FaultInjector> injector;
         if (spec.active())
           injector = std::make_unique<faults::FaultInjector>(
-              spec, Rng(sim_seed).fork(0xFA17).fork(si).nextU64());
+              spec, faults::injectorSeed(sim_seed, si));
 
         GovernorModeLog log;
         RunResult run;

@@ -388,9 +388,9 @@ void writeInferenceReport(const std::string& path) {
   // Replay contrast: the same governor streamed open-loop over a recorded
   // trace of the same run, no cycle-level simulation. The ratio against the
   // live sweep is the engine layer's >=100x replay acceptance floor
-  // (bench_check --min-replay-speedup). Agreement is exactly 1 because the
-  // deterministic governor sees the very observations it produced when the
-  // trace was recorded.
+  // (bench_inference_check passes --floors speedup_replay_vs_sim=100).
+  // Agreement is exactly 1 because the deterministic governor sees the
+  // very observations it produced when the trace was recorded.
   const engine::EpochTrace trace = recordedSgemmTrace();
   std::int64_t replay_epochs = 0;
   double replay_agreement = 0.0;

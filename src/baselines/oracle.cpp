@@ -1,6 +1,7 @@
 #include "baselines/oracle.hpp"
 
 #include "common/check.hpp"
+#include "engine/fork.hpp"
 
 namespace ssm {
 
@@ -11,15 +12,16 @@ OracleResult findBestStaticLevel(const Gpu& gpu, OracleObjective objective,
   const int levels = static_cast<int>(gpu.vfTable().size());
 
   for (VfLevel level = 0; level < levels; ++level) {
-    Gpu copy = gpu;
-    copy.runUntil(max_time_ns, level);
-    SSM_CHECK(copy.allDone(), "oracle run did not retire; raise max_time_ns");
+    engine::GpuFork fork(gpu);
+    fork.stepUntil(max_time_ns, level);
+    SSM_CHECK(fork.allDone(), "oracle run did not retire; raise max_time_ns");
+    const Gpu& ran = fork.gpu();
     RunResult r;
     r.mechanism = "static-" + std::to_string(level);
-    r.exec_time_ns = copy.finishTimeNs();
-    r.energy_j = copy.totalEnergyJ();
-    r.edp = copy.edp();
-    r.instructions = copy.totalInstructions();
+    r.exec_time_ns = ran.finishTimeNs();
+    r.energy_j = ran.totalEnergyJ();
+    r.edp = ran.edp();
+    r.instructions = ran.totalInstructions();
     result.all.push_back(std::move(r));
   }
 

@@ -86,6 +86,16 @@ class ByteReader {
     pos_ += n;
     return s;
   }
+  /// Reads a u32 element count that sizes a reserve or a loop, rejecting it
+  /// BEFORE any allocation when `count * min_elem_bytes` (a lower bound on
+  /// each element's encoded size) exceeds the bytes left: a mangled count
+  /// becomes a DataError instead of a bad_alloc.
+  std::uint32_t count(std::size_t min_elem_bytes) {
+    const std::uint32_t n = u32();
+    if (static_cast<std::uint64_t>(n) * min_elem_bytes > bytes_.size() - pos_)
+      throw DataError("SSMTRACE payload count exceeds the bytes remaining");
+    return n;
+  }
   [[nodiscard]] bool exhausted() const noexcept {
     return pos_ == bytes_.size();
   }

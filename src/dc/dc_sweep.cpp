@@ -1,12 +1,10 @@
 #include "dc/dc_sweep.hpp"
 
-#include <map>
-#include <mutex>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <utility>
 
-#include "common/check.hpp"
 #include "common/json_writer.hpp"
 #include "sched/fleet.hpp"
 
@@ -28,41 +26,21 @@ bool thermalActive(const DcSweepSpec& spec) {
 // Every axis falls back to the base's value when left empty, so a spec
 // with no axes set runs the base rack exactly once and a forgotten axis
 // can never silently replace a configured base field with a default.
-std::vector<double> capAxis(const DcSweepSpec& spec) {
-  return spec.rack_caps_w.empty()
-             ? std::vector<double>{spec.base.power.rack_cap_w}
-             : spec.rack_caps_w;
+template <typename T>
+std::span<const T> axis(const std::vector<T>& values, const T& base) {
+  return values.empty() ? std::span<const T>(&base, 1)
+                        : std::span<const T>(values);
 }
-
-std::vector<TrafficSpec> trafficAxis(const DcSweepSpec& spec) {
-  return spec.traffic.empty() ? std::vector<TrafficSpec>{spec.base.traffic}
-                              : spec.traffic;
-}
-
-std::vector<DispatchPolicy> policyAxis(const DcSweepSpec& spec) {
-  return spec.policies.empty() ? std::vector<DispatchPolicy>{spec.base.policy}
-                               : spec.policies;
-}
-
-std::vector<std::string> mechanismAxis(const DcSweepSpec& spec) {
-  return spec.mechanisms.empty()
-             ? std::vector<std::string>{spec.base.mechanism}
-             : spec.mechanisms;
-}
-
-std::vector<std::uint64_t> seedAxis(const DcSweepSpec& spec) {
-  return spec.seeds.empty() ? std::vector<std::uint64_t>{spec.base.seed}
-                            : spec.seeds;
-}
-
 }  // namespace
 
 std::vector<DcSweepJob> expandDcJobs(const DcSweepSpec& spec) {
-  const std::size_t traffics = trafficAxis(spec).size();
-  const std::size_t policies = policyAxis(spec).size();
-  const std::size_t caps = capAxis(spec).size();
-  const std::size_t mechanisms = mechanismAxis(spec).size();
-  const std::size_t seeds = seedAxis(spec).size();
+  const std::size_t traffics = axis(spec.traffic, spec.base.traffic).size();
+  const std::size_t policies = axis(spec.policies, spec.base.policy).size();
+  const std::size_t caps =
+      axis(spec.rack_caps_w, spec.base.power.rack_cap_w).size();
+  const std::size_t mechanisms =
+      axis(spec.mechanisms, spec.base.mechanism).size();
+  const std::size_t seeds = axis(spec.seeds, spec.base.seed).size();
 
   std::vector<DcSweepJob> jobs;
   jobs.reserve(traffics * policies * caps * mechanisms * seeds);
@@ -85,65 +63,62 @@ std::vector<DcSweepJob> expandDcJobs(const DcSweepSpec& spec) {
 
 RackSpec cellSpec(const DcSweepSpec& spec, const DcSweepJob& job) {
   RackSpec cell = spec.base;
-  cell.traffic = trafficAxis(spec)[job.traffic];
-  cell.policy = policyAxis(spec)[job.policy];
-  cell.power.rack_cap_w = capAxis(spec)[job.cap];
-  cell.mechanism = mechanismAxis(spec)[job.mechanism];
-  cell.seed = seedAxis(spec)[job.seed];
+  cell.traffic = axis(spec.traffic, spec.base.traffic)[job.traffic];
+  cell.policy = axis(spec.policies, spec.base.policy)[job.policy];
+  cell.power.rack_cap_w =
+      axis(spec.rack_caps_w, spec.base.power.rack_cap_w)[job.cap];
+  cell.mechanism = axis(spec.mechanisms, spec.base.mechanism)[job.mechanism];
+  cell.seed = axis(spec.seeds, spec.base.seed)[job.seed];
   return cell;
 }
 
 DcSweepRunner::DcSweepRunner(const DcSweepSpec& spec, ThreadPool& pool)
     : spec_(spec), pool_(pool), jobs_(expandDcJobs(spec)) {
   // Fail fast on an unsatisfiable spec before any simulation time.
-  for (const auto& mech : mechanismAxis(spec_))
+  for (const auto& mech : axis(spec_.mechanisms, spec_.base.mechanism))
     static_cast<void>(fleet::makeGovernorFactory(mech, spec_.base.vf, 0.10,
                                                  spec_.base.model));
 }
 
+DcSweepResult DcSweepRunner::runJob(std::size_t i) const {
+  DcSweepResult r;
+  r.job = jobs_[i];
+  r.rack = runRack(cellSpec(spec_, jobs_[i]), &pool_);
+  return r;
+}
+
 std::vector<DcSweepResult> DcSweepRunner::run() const {
-  std::vector<DcSweepResult> results(jobs_.size());
-  pool_.parallelFor(jobs_.size(), [&](std::size_t i) {
-    results[i].job = jobs_[i];
-    results[i].rack = runRack(cellSpec(spec_, jobs_[i]), &pool_);
-  });
+  std::vector<DcSweepResult> results;
+  results.reserve(jobs_.size());
+  pool_.parallelForOrdered(
+      jobs_.size(), [&](std::size_t i) { return runJob(i); },
+      [&](DcSweepResult r) { results.push_back(std::move(r)); });
   return results;
 }
 
 std::size_t DcSweepRunner::runJsonl(std::ostream& os) const {
-  // Ordered streaming collector (the fleet.cpp idiom): lines buffer until
-  // their prefix is complete; a single writer touches `os`.
-  std::mutex mu;
-  std::map<std::size_t, std::string> ready;
-  std::size_t next = 0;
-  pool_.parallelFor(jobs_.size(), [&](std::size_t i) {
-    DcSweepResult r;
-    r.job = jobs_[i];
-    r.rack = runRack(cellSpec(spec_, jobs_[i]), &pool_);
-    std::string line = toJsonLine(spec_, r);
-    std::lock_guard<std::mutex> lk(mu);
-    ready.emplace(i, std::move(line));
-    while (!ready.empty() && ready.begin()->first == next) {
-      os << ready.begin()->second << '\n';
-      ready.erase(ready.begin());
-      ++next;
-    }
-  });
-  SSM_CHECK(next == jobs_.size(), "dc JSONL collector lost lines");
-  return next;
+  std::size_t lines = 0;
+  pool_.parallelForOrdered(
+      jobs_.size(),
+      [&](std::size_t i) { return toJsonLine(spec_, runJob(i)); },
+      [&](const std::string& line) {
+        os << line << '\n';
+        ++lines;
+      });
+  return lines;
 }
 
 std::string toJsonLine(const DcSweepSpec& spec, const DcSweepResult& r) {
   const RackResult& rack = r.rack;
+  const RackSpec cell = cellSpec(spec, r.job);
   std::ostringstream ss;
   JsonWriter w(ss);
   w.beginObject()
-      .value("traffic", trafficAxis(spec)[r.job.traffic].print())
-      .value("policy", policyName(policyAxis(spec)[r.job.policy]))
-      .value("rack_cap_w", capAxis(spec)[r.job.cap])
-      .value("mechanism", mechanismAxis(spec)[r.job.mechanism])
-      .value("seed",
-             static_cast<std::int64_t>(seedAxis(spec)[r.job.seed]))
+      .value("traffic", cell.traffic.print())
+      .value("policy", policyName(cell.policy))
+      .value("rack_cap_w", cell.power.rack_cap_w)
+      .value("mechanism", cell.mechanism)
+      .value("seed", static_cast<std::int64_t>(cell.seed))
       .value("gpus", rack.gpus)
       .value("jobs", static_cast<std::int64_t>(rack.jobs.size()))
       .value("completed", rack.completed)
@@ -193,10 +168,10 @@ void writeCsv(const DcSweepSpec& spec,
   num.precision(17);
   for (const auto& r : results) {
     const RackResult& rack = r.rack;
+    const RackSpec cell = cellSpec(spec, r.job);
     num.str({});
-    num << capAxis(spec)[r.job.cap] << ','
-        << mechanismAxis(spec)[r.job.mechanism] << ','
-        << seedAxis(spec)[r.job.seed] << ',' << rack.gpus << ','
+    num << cell.power.rack_cap_w << ',' << cell.mechanism << ','
+        << cell.seed << ',' << rack.gpus << ','
         << rack.jobs.size() << ',' << rack.completed << ','
         << rack.unfinished << ',' << rack.deadline_miss_rate << ','
         << rack.energy_per_job_j * 1e3 << ',' << rack.mean_rack_power_w
@@ -219,9 +194,8 @@ void writeCsv(const DcSweepSpec& spec,
           << rack.peak_temp_c << ',' << rack.throttle_epochs;
     }
     // The traffic grammar also contains ';' and '='; quote it too.
-    os << '"' << trafficAxis(spec)[r.job.traffic].print() << "\","
-       << policyName(policyAxis(spec)[r.job.policy]) << ',' << num.str()
-       << '\n';
+    os << '"' << cell.traffic.print() << "\"," << policyName(cell.policy)
+       << ',' << num.str() << '\n';
   }
 }
 

@@ -2,8 +2,9 @@
 // mechanism × seed, each cell a full rack simulation.
 //
 // Mirrors fleet::FleetRunner's contract (docs/fleet.md): deterministic
-// expansion order, coordinate-keyed seeds, pre-allocated result slots, an
-// ordered JSONL collector, and byte-identical output at any --jobs count.
+// expansion order, coordinate-keyed seeds, the pool's ordered parallelFor
+// (ThreadPool::parallelForOrdered), and byte-identical output at any --jobs
+// count.
 // Cells run on the pool AND each cell's nodes fan out on the same pool
 // (nested parallelFor — the work-stealing pool supports it), so a single
 // large rack and a wide sweep both saturate the machine.
@@ -79,6 +80,8 @@ class DcSweepRunner {
   }
 
  private:
+  [[nodiscard]] DcSweepResult runJob(std::size_t i) const;
+
   const DcSweepSpec& spec_;
   ThreadPool& pool_;
   std::vector<DcSweepJob> jobs_;

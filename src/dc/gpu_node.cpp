@@ -151,15 +151,7 @@ void GpuNode::finishJob() {
   job_energy_j_ += active_.energy_j;
   completed_.push_back(active_);
   if (injector_ != nullptr) {
-    fault_counts_.noise += injector_->counts().noise;
-    fault_counts_.dropout += injector_->counts().dropout;
-    fault_counts_.delay += injector_->counts().delay;
-    fault_counts_.failed += injector_->counts().failed;
-    fault_counts_.stuck += injector_->counts().stuck;
-    fault_counts_.jitter += injector_->counts().jitter;
-    fault_counts_.heatsoak += injector_->counts().heatsoak;
-    fault_counts_.tsensor += injector_->counts().tsensor;
-    fault_counts_.tjolt += injector_->counts().tjolt;
+    fault_counts_ += injector_->counts();
     injector_.reset();
   }
   sim_.reset();

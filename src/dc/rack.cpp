@@ -179,15 +179,7 @@ RackResult runRack(const RackSpec& spec, ThreadPool* pool) {
     }
     out.total_energy_j += node->energyJ();
     out.idle_energy_j += node->idleEnergyJ();
-    out.fault_counts.noise += node->faultCounts().noise;
-    out.fault_counts.dropout += node->faultCounts().dropout;
-    out.fault_counts.delay += node->faultCounts().delay;
-    out.fault_counts.failed += node->faultCounts().failed;
-    out.fault_counts.stuck += node->faultCounts().stuck;
-    out.fault_counts.jitter += node->faultCounts().jitter;
-    out.fault_counts.heatsoak += node->faultCounts().heatsoak;
-    out.fault_counts.tsensor += node->faultCounts().tsensor;
-    out.fault_counts.tjolt += node->faultCounts().tjolt;
+    out.fault_counts += node->faultCounts();
     out.peak_temp_c = std::max(out.peak_temp_c, node->peakTempC());
     out.throttle_epochs += node->throttleEpochs();
     GpuNodeSummary s;

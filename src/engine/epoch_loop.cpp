@@ -12,6 +12,44 @@
 
 namespace ssm::engine {
 
+namespace {
+
+/// The chip-wide governor's observation: the live clusters' counters,
+/// power and instructions averaged (a chip with no live cluster reports
+/// cluster_done). The level is the last live cluster's.
+EpochObservation liveClusterAverage(const GpuEpochReport& report) {
+  EpochObservation agg;
+  agg.epoch_start_ns = report.epoch_start_ns;
+  agg.epoch_len_ns = report.epoch_len_ns;
+  int live = 0;
+  for (const auto& obs : report.clusters) {
+    if (obs.cluster_done) continue;
+    ++live;
+    agg.instructions += obs.instructions;
+    agg.power_w += obs.power_w;
+    for (int c = 0; c < kNumCounters; ++c) {
+      const auto id = static_cast<CounterId>(c);
+      agg.counters.add(id, obs.counters.get(id));
+    }
+    agg.level = obs.level;
+  }
+  if (live > 0) {
+    const double inv = 1.0 / static_cast<double>(live);
+    agg.instructions =
+        static_cast<std::int64_t>(static_cast<double>(agg.instructions) * inv);
+    agg.power_w *= inv;
+    for (int c = 0; c < kNumCounters; ++c) {
+      const auto id = static_cast<CounterId>(c);
+      agg.counters.set(id, agg.counters.get(id) * inv);
+    }
+  } else {
+    agg.cluster_done = true;
+  }
+  return agg;
+}
+
+}  // namespace
+
 std::vector<std::unique_ptr<DvfsGovernor>> makeGovernors(
     const GovernorFactory& factory, int count) {
   SSM_CHECK(count > 0, "governor count must be positive");
@@ -39,6 +77,8 @@ RunResult EpochLoop::run(
     EpochSource& source, ActuationSink& sink,
     std::span<const std::unique_ptr<DvfsGovernor>> governors,
     std::string mechanism_name) const {
+  const int n = source.numClusters();
+  const VfTable& vf = source.vfTable();
   if (cfg_.chip_wide) {
     SSM_CHECK(governors.size() == 1,
               "chip-wide mode drives exactly one governor");
@@ -49,20 +89,10 @@ RunResult EpochLoop::run(
     SSM_CHECK(cfg_.keyframe_every == 0 && cfg_.levels_io == nullptr,
               "keyframe capture and shared level state are per-cluster "
               "concerns; unsupported in chip-wide mode");
-    return runChipWide(source, sink, *governors.front(),
-                       std::move(mechanism_name));
+  } else {
+    SSM_CHECK(static_cast<int>(governors.size()) == n,
+              "per-cluster mode needs one governor per cluster");
   }
-  SSM_CHECK(static_cast<int>(governors.size()) == source.numClusters(),
-            "per-cluster mode needs one governor per cluster");
-  return runPerCluster(source, sink, governors, std::move(mechanism_name));
-}
-
-RunResult EpochLoop::runPerCluster(
-    EpochSource& source, ActuationSink& sink,
-    std::span<const std::unique_ptr<DvfsGovernor>> governors,
-    std::string mechanism_name) const {
-  const int n = source.numClusters();
-  const VfTable& vf = source.vfTable();
 
   const bool capture_keyframes = cfg_.keyframe_every > 0;
   if (capture_keyframes) {
@@ -115,11 +145,19 @@ RunResult EpochLoop::runPerCluster(
       cfg_.throttle->observe(report.cluster_temps_c, report.package_temp_c);
     ++result.epochs;
     power_time_sum += report.chip_power_w;
+    // Chip-wide mode differs only in its decision step: the one governor
+    // decides once on the live-cluster average, for every cluster.
+    const VfLevel chip_level =
+        cfg_.chip_wide
+            ? vf.clamp(governors.front()->decide(liveClusterAverage(report)))
+            : VfLevel{0};
     for (int i = 0; i < n; ++i) {
       const auto& obs = report.clusters[static_cast<std::size_t>(i)];
       level_epochs[static_cast<std::size_t>(obs.level)] += 1.0;
       VfLevel requested =
-          vf.clamp(governors[static_cast<std::size_t>(i)]->decide(obs));
+          cfg_.chip_wide
+              ? chip_level
+              : vf.clamp(governors[static_cast<std::size_t>(i)]->decide(obs));
       // Arbitration order mirrors hardware: the protection firmware caps
       // the governor's request, then the actuator (fault seam) may still
       // fail or stick the transition downstream of it.
@@ -159,83 +197,6 @@ RunResult EpochLoop::runPerCluster(
     result.level_histogram[l] =
         total_cluster_epochs > 0 ? level_epochs[l] / total_cluster_epochs
                                  : 0.0;
-  return result;
-}
-
-RunResult EpochLoop::runChipWide(EpochSource& source, ActuationSink& sink,
-                                 DvfsGovernor& governor,
-                                 std::string mechanism_name) const {
-  const int n = source.numClusters();
-  const VfTable& vf = source.vfTable();
-
-  std::vector<VfLevel> levels(static_cast<std::size_t>(n), vf.defaultLevel());
-  std::vector<double> level_epochs(vf.size(), 0.0);
-
-  RunResult result;
-  result.mechanism = std::move(mechanism_name);
-  double power_sum = 0.0;
-
-  while (!source.done() && source.nowNs() < cfg_.max_time_ns) {
-    const GpuEpochReport report = source.nextEpoch(levels);
-    if (report.hasThermal()) {
-      result.peak_temp_c = std::max(
-          result.peak_temp_c,
-          std::max(report.package_temp_c,
-                   *std::max_element(report.cluster_temps_c.begin(),
-                                     report.cluster_temps_c.end())));
-    }
-    if (cfg_.trace != nullptr) cfg_.trace->record(report);
-    ++result.epochs;
-    power_sum += report.chip_power_w;
-
-    // Cluster-averaged observation over live clusters.
-    EpochObservation agg;
-    agg.epoch_start_ns = report.epoch_start_ns;
-    agg.epoch_len_ns = report.epoch_len_ns;
-    int live = 0;
-    for (const auto& obs : report.clusters) {
-      level_epochs[static_cast<std::size_t>(obs.level)] += 1.0;
-      if (obs.cluster_done) continue;
-      ++live;
-      agg.instructions += obs.instructions;
-      agg.power_w += obs.power_w;
-      for (int c = 0; c < kNumCounters; ++c) {
-        const auto id = static_cast<CounterId>(c);
-        agg.counters.add(id, obs.counters.get(id));
-      }
-      agg.level = obs.level;
-    }
-    if (live > 0) {
-      const double inv = 1.0 / static_cast<double>(live);
-      agg.instructions =
-          static_cast<std::int64_t>(static_cast<double>(agg.instructions) * inv);
-      agg.power_w *= inv;
-      for (int c = 0; c < kNumCounters; ++c) {
-        const auto id = static_cast<CounterId>(c);
-        agg.counters.set(id, agg.counters.get(id) * inv);
-      }
-    } else {
-      agg.cluster_done = true;
-    }
-    const VfLevel next = vf.clamp(governor.decide(agg));
-    for (int i = 0; i < n; ++i)
-      levels[static_cast<std::size_t>(i)] = sink.actuate(
-          i, next, report.clusters[static_cast<std::size_t>(i)].level);
-    if (report.all_done) break;
-  }
-
-  SSM_CHECK(source.done(), std::string(cfg_.timeout_message));
-
-  const StreamStats stats = source.stats();
-  result.exec_time_ns = stats.exec_time_ns;
-  result.energy_j = stats.energy_j;
-  result.edp = stats.edp;
-  result.instructions = stats.instructions;
-  result.mean_power_w = result.epochs > 0 ? power_sum / result.epochs : 0.0;
-  const double total = static_cast<double>(result.epochs) * n;
-  result.level_histogram.resize(level_epochs.size());
-  for (std::size_t l = 0; l < level_epochs.size(); ++l)
-    result.level_histogram[l] = total > 0 ? level_epochs[l] / total : 0.0;
   return result;
 }
 

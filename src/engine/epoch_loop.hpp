@@ -69,8 +69,9 @@ struct LoopConfig {
   /// Zero-cost when null, like `faults`.
   thermal::ThermalThrottle* throttle = nullptr;
   /// ONE governor sees the cluster-averaged observation and its decision is
-  /// applied chip-wide (the §V.A ablation). Fault injection is per-cluster
-  /// and not supported in this mode.
+  /// applied chip-wide (the §V.A ablation) — the same loop with a different
+  /// decision step. Faults, throttle, keyframes and levels_io are
+  /// per-cluster seams and not supported in this mode.
   bool chip_wide = false;
   /// Wrap every governor in the HardenedGovernor decorator (degraded-mode
   /// watchdog); transitions go to `mode_log` when set.
@@ -110,14 +111,6 @@ class EpochLoop {
   [[nodiscard]] const LoopConfig& config() const noexcept { return cfg_; }
 
  private:
-  [[nodiscard]] RunResult runPerCluster(
-      EpochSource& source, ActuationSink& sink,
-      std::span<const std::unique_ptr<DvfsGovernor>> governors,
-      std::string mechanism_name) const;
-  [[nodiscard]] RunResult runChipWide(EpochSource& source, ActuationSink& sink,
-                                      DvfsGovernor& governor,
-                                      std::string mechanism_name) const;
-
   LoopConfig cfg_;
 };
 

@@ -47,19 +47,6 @@ RunResult runWithChipGovernor(Gpu gpu, const GovernorFactory& factory,
                                     std::move(mechanism_name));
 }
 
-namespace {
-class StaticFactory final : public GovernorFactory {
- public:
-  explicit StaticFactory(VfLevel level) : level_(level) {}
-  std::unique_ptr<DvfsGovernor> create(int) const override {
-    return std::make_unique<StaticGovernor>(level_);
-  }
-
- private:
-  VfLevel level_;
-};
-}  // namespace
-
 RunResult runBaseline(Gpu gpu, TimeNs max_time_ns,
                       thermal::ThermalThrottle* throttle) {
   const StaticFactory factory(gpu.vfTable().defaultLevel());

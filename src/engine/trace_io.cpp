@@ -14,6 +14,14 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8;
 
+// Encoded sizes (lower bounds) of the repeated payload records, used to
+// bound every decoded count by the bytes remaining.
+constexpr std::size_t kVfPointBytes = 2 * 8;
+constexpr std::size_t kEpochHeaderBytes = 4 * 8 + 1;
+constexpr std::size_t kObservationBytes =
+    4 + 4 * 8 + 4 + 1 + 8 * static_cast<std::size_t>(kNumCounters);
+constexpr std::size_t kKeyframeHeaderBytes = 8 + 8 + 4;
+
 void writeRunResult(ByteWriter& w, const RunResult& r, bool has_thermal) {
   w.str(r.workload);
   w.str(r.mechanism);
@@ -41,7 +49,7 @@ RunResult readRunResult(ByteReader& r, bool has_thermal) {
   out.instructions = r.i64();
   out.epochs = r.i32();
   out.mean_power_w = r.f64();
-  const std::uint32_t hist = r.u32();
+  const std::uint32_t hist = r.count(sizeof(double));
   out.level_histogram.reserve(hist);
   for (std::uint32_t i = 0; i < hist; ++i)
     out.level_histogram.push_back(r.f64());
@@ -155,7 +163,7 @@ EpochTrace parsePayload(std::string_view payload, std::uint32_t version) {
   const bool has_thermal = version == kTraceVersionV3
                                ? r.u8() != 0
                                : version >= kTraceVersionV2;
-  const std::uint32_t vf_points = r.u32();
+  const std::uint32_t vf_points = r.count(kVfPointBytes);
   if (vf_points == 0)
     throw DataError("SSMTRACE payload has an empty V/f table");
   std::vector<VfPoint> points;
@@ -168,8 +176,10 @@ EpochTrace parsePayload(std::string_view payload, std::uint32_t version) {
   }
   trace.vf = VfTable(std::move(points));
   trace.recorded = readRunResult(r, has_thermal);
-  const std::uint32_t num_epochs = r.u32();
-  const std::uint32_t num_clusters = r.u32();
+  const std::uint32_t num_epochs = r.count(kEpochHeaderBytes);
+  // Only a trace with epochs stores observations to bound the count by.
+  const std::uint32_t num_clusters =
+      r.count(num_epochs > 0 ? kObservationBytes : 0);
   trace.epochs.reserve(num_epochs);
   for (std::uint32_t e = 0; e < num_epochs; ++e) {
     GpuEpochReport rep;
@@ -190,7 +200,7 @@ EpochTrace parsePayload(std::string_view payload, std::uint32_t version) {
     trace.epochs.push_back(std::move(rep));
   }
   if (version == kTraceVersionV3) {
-    const std::uint32_t num_keyframes = r.u32();
+    const std::uint32_t num_keyframes = r.count(kKeyframeHeaderBytes);
     trace.keyframes.reserve(num_keyframes);
     std::int64_t prev_epoch = -1;
     for (std::uint32_t k = 0; k < num_keyframes; ++k) {

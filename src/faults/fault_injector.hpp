@@ -38,8 +38,29 @@ struct FaultCounts {
     return noise + dropout + delay + failed + stuck + jitter + heatsoak +
            tsensor + tjolt;
   }
+  FaultCounts& operator+=(const FaultCounts& o) noexcept {
+    noise += o.noise;
+    dropout += o.dropout;
+    delay += o.delay;
+    failed += o.failed;
+    stuck += o.stuck;
+    jitter += o.jitter;
+    heatsoak += o.heatsoak;
+    tsensor += o.tsensor;
+    tjolt += o.tjolt;
+    return *this;
+  }
   friend bool operator==(const FaultCounts&, const FaultCounts&) = default;
 };
+
+/// The injector seed for fault scenario `scenario` of a run simulated with
+/// `sim_seed`: a salted fork off the run's own coordinates (never thread
+/// identity), so a sweep cell, `ssmdvfs run --faults` and the fault bench
+/// replay the same fault pattern at any --jobs value.
+[[nodiscard]] inline std::uint64_t injectorSeed(std::uint64_t sim_seed,
+                                                std::uint64_t scenario) {
+  return Rng(sim_seed).fork(0xFA17).fork(scenario).nextU64();
+}
 
 class FaultInjector final : public EpochFaultHook {
  public:

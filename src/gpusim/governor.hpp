@@ -60,4 +60,16 @@ class GovernorFactory {
       int cluster_id) const = 0;
 };
 
+/// One StaticGovernor per cluster, all pinned to the same level.
+class StaticFactory final : public GovernorFactory {
+ public:
+  explicit StaticFactory(VfLevel level) : level_(level) {}
+  [[nodiscard]] std::unique_ptr<DvfsGovernor> create(int) const override {
+    return std::make_unique<StaticGovernor>(level_);
+  }
+
+ private:
+  VfLevel level_;
+};
+
 }  // namespace ssm

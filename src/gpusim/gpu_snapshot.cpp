@@ -21,6 +21,15 @@
 namespace ssm {
 namespace {
 
+// Encoded sizes (lower bounds) of the repeated snapshot records, used to
+// bound every decoded count by the bytes remaining.
+/// Instruction mix, hit rates, ilp, divergence, dep_prob, insts_per_warp.
+constexpr std::size_t kPhaseBytes = 7 * 8 + 2 * 8 + 4 + 2 * 8 + 8;
+/// RNG snapshot (four words, spare, flag) plus the warp's scalar state.
+constexpr std::size_t kWarpBytes = (4 * 8 + 8 + 1) + 4 + 4 + 8 + 8 + 4 + 1;
+/// Warp count, wake-heap size, miss count, retired warps, two i64 totals.
+constexpr std::size_t kClusterMinBytes = 4 + 4 + 4 + 4 + 8 + 8;
+
 void writeRng(ByteWriter& w, const RngSnapshot& s) {
   for (std::uint64_t word : s.s) w.u64(word);
   w.f64(s.spare_gauss);
@@ -112,7 +121,7 @@ KernelProfile readKernel(ByteReader& r) {
   k.suite = r.str();
   k.warps_per_cluster = r.i32();
   k.phase_loops = r.i32();
-  const std::uint32_t phases = r.u32();
+  const std::uint32_t phases = r.count(kPhaseBytes);
   k.phases.reserve(phases);
   for (std::uint32_t i = 0; i < phases; ++i) {
     PhaseProfile p;
@@ -166,7 +175,7 @@ void SmCluster::saveState(ByteWriter& w) const {
 }
 
 void SmCluster::restoreState(ByteReader& r) {
-  const std::uint32_t warps = r.u32();
+  const std::uint32_t warps = r.count(kWarpBytes);
   if (warps != warps_.size())
     throw DataError(
         "GPU snapshot warp count does not match the reconstructed cluster");
@@ -185,7 +194,7 @@ void SmCluster::restoreState(ByteReader& r) {
   for (int i = 0; i < wake_size_; ++i)
     wake_heap_[static_cast<std::size_t>(i)] = r.i64();
   misses_ = {};
-  const std::uint32_t misses = r.u32();
+  const std::uint32_t misses = r.count(sizeof(std::int64_t));
   for (std::uint32_t i = 0; i < misses; ++i) misses_.push(r.i64());
   warps_done_ = r.i32();
   if (warps_done_ < 0 || warps_done_ > static_cast<int>(warps_.size()))
@@ -249,7 +258,7 @@ void Gpu::saveState(ByteWriter& w) const {
 
 Gpu Gpu::restoreState(ByteReader& r) {
   const GpuConfig cfg = readConfig(r);
-  const std::uint32_t vf_points = r.u32();
+  const std::uint32_t vf_points = r.count(2 * sizeof(double));
   if (vf_points == 0)
     throw DataError("GPU snapshot has an empty V/f table");
   std::vector<VfPoint> points;
@@ -284,7 +293,7 @@ Gpu Gpu::restoreState(ByteReader& r) {
   Gpu gpu(cfg, VfTable(std::move(points)), kernel, /*seed=*/0,
           ChipPowerModel(power_clusters, cp, up));
 
-  const std::uint32_t prev_levels = r.u32();
+  const std::uint32_t prev_levels = r.count(sizeof(std::int32_t));
   if (prev_levels != gpu.prev_levels_.size())
     throw DataError("GPU snapshot level count does not match its config");
   for (VfLevel& l : gpu.prev_levels_) l = r.i32();
@@ -305,7 +314,7 @@ Gpu Gpu::restoreState(ByteReader& r) {
     tp.c_package = r.f64();
     gpu.attachThermal(tp);
     thermal::ThermalState ts;
-    const std::uint32_t nodes = r.u32();
+    const std::uint32_t nodes = r.count(sizeof(double));
     if (nodes != static_cast<std::uint32_t>(gpu.numClusters()))
       throw DataError(
           "GPU snapshot thermal node count does not match its config");
@@ -315,7 +324,7 @@ Gpu Gpu::restoreState(ByteReader& r) {
     gpu.thermal_->setState(ts);
   }
 
-  const std::uint32_t clusters = r.u32();
+  const std::uint32_t clusters = r.count(kClusterMinBytes);
   if (clusters != gpu.clusters_.size())
     throw DataError("GPU snapshot cluster count does not match its config");
   for (SmCluster& c : gpu.clusters_) c.restoreState(r);

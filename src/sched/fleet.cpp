@@ -1,8 +1,6 @@
 #include "sched/fleet.hpp"
 
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -22,10 +20,6 @@
 namespace ssm::fleet {
 
 namespace {
-
-/// Salt separating fault-injection streams from every other consumer of the
-/// job's sim_seed.
-constexpr std::uint64_t kFaultSeedSalt = 0xFA17;
 
 /// True when the sweep's fault axis carries any active scenario — the
 /// trigger for the extra JSONL/CSV fields (kept out of clean sweeps so
@@ -52,21 +46,6 @@ const std::string& workloadName(const SweepSpec& spec, const SweepJob& job) {
   return replayMode(spec) ? spec.replay[job.workload]->workload
                           : spec.workloads[job.workload].name;
 }
-
-}  // namespace
-
-namespace {
-
-class StaticFactory final : public GovernorFactory {
- public:
-  explicit StaticFactory(VfLevel level) : level_(level) {}
-  std::unique_ptr<DvfsGovernor> create(int) const override {
-    return std::make_unique<StaticGovernor>(level_);
-  }
-
- private:
-  VfLevel level_;
-};
 
 }  // namespace
 
@@ -260,8 +239,7 @@ SweepResult FleetRunner::runJob(const SweepJob& job) const {
   std::unique_ptr<faults::FaultInjector> injector;
   if (fault_spec.active())
     injector = std::make_unique<faults::FaultInjector>(
-        fault_spec,
-        Rng(job.sim_seed).fork(kFaultSeedSalt).fork(job.fault).nextU64());
+        fault_spec, faults::injectorSeed(job.sim_seed, job.fault));
 
   const auto factory =
       makeGovernorFactory(mech, spec_.vf, preset, spec_.model);
@@ -290,41 +268,26 @@ SweepResult FleetRunner::runJob(const SweepJob& job) const {
 }
 
 std::vector<SweepResult> FleetRunner::run(const ProgressFn& progress) const {
-  std::vector<SweepResult> results(jobs_.size());
-  std::mutex mu;
-  std::size_t done = 0;
-  pool_.parallelFor(jobs_.size(), [&](std::size_t i) {
-    SweepResult r = runJob(jobs_[i]);
-    std::lock_guard<std::mutex> lk(mu);
-    results[i] = std::move(r);
-    ++done;
-    if (progress) progress(done, jobs_.size());
-  });
+  std::vector<SweepResult> results;
+  results.reserve(jobs_.size());
+  pool_.parallelForOrdered(
+      jobs_.size(), [&](std::size_t i) { return runJob(jobs_[i]); },
+      [&](SweepResult r) { results.push_back(std::move(r)); }, progress);
   return results;
 }
 
 std::size_t FleetRunner::runJsonl(std::ostream& os,
                                   const ProgressFn& progress) const {
-  // Ordered streaming collector: lines buffer until their prefix is
-  // complete, then flush. Single writer (this mutex) touches `os`.
-  std::mutex mu;
-  std::map<std::size_t, std::string> ready;
-  std::size_t next = 0;
-  std::size_t done = 0;
-  pool_.parallelFor(jobs_.size(), [&](std::size_t i) {
-    std::string line = toJsonLine(spec_, runJob(jobs_[i]));
-    std::lock_guard<std::mutex> lk(mu);
-    ready.emplace(i, std::move(line));
-    while (!ready.empty() && ready.begin()->first == next) {
-      os << ready.begin()->second << '\n';
-      ready.erase(ready.begin());
-      ++next;
-    }
-    ++done;
-    if (progress) progress(done, jobs_.size());
-  });
-  SSM_CHECK(next == jobs_.size(), "JSONL collector lost lines");
-  return next;
+  std::size_t lines = 0;
+  pool_.parallelForOrdered(
+      jobs_.size(),
+      [&](std::size_t i) { return toJsonLine(spec_, runJob(jobs_[i])); },
+      [&](const std::string& line) {
+        os << line << '\n';
+        ++lines;
+      },
+      progress);
+  return lines;
 }
 
 namespace {

@@ -137,7 +137,7 @@ struct SweepResult {
     const std::shared_ptr<const SsmModel>& model);
 
 /// Called under the collector lock as jobs complete, in completion order.
-using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
+using ProgressFn = ThreadPool::ProgressFn;
 
 class FleetRunner {
  public:

@@ -26,7 +26,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>  // ssm-lint: allow(raw-thread) — the pool IS the sanctioned home
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ssm {
@@ -62,6 +65,37 @@ class ThreadPool {
   /// any iteration. Iterations must not assume any execution order.
   void parallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& body);
+
+  /// Called under the collector lock once per finished job.
+  using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
+
+  /// The ordered sweep collector: runs job(0..n-1) across the pool like
+  /// parallelFor and hands each result to emit() strictly in index order,
+  /// under one lock, as soon as every lower index has been emitted — so a
+  /// sweep's output is byte-identical at any `jobs`. `progress(done, n)`,
+  /// when set, runs under the same lock after each job. Rethrows the first
+  /// job exception once the batch drains; no result at or after a failed
+  /// index is emitted.
+  template <typename Job, typename Emit>
+  void parallelForOrdered(std::size_t n, const Job& job, const Emit& emit,
+                          const ProgressFn& progress = {}) {
+    using Result = std::invoke_result_t<const Job&, std::size_t>;
+    std::vector<std::optional<Result>> ready(n);
+    std::mutex mu;
+    std::size_t next = 0;
+    std::size_t done = 0;
+    parallelFor(n, [&](std::size_t i) {
+      Result result = job(i);
+      std::lock_guard<std::mutex> lk(mu);
+      ready[i].emplace(std::move(result));
+      for (; next < n && ready[next].has_value(); ++next) {
+        emit(std::move(*ready[next]));
+        ready[next].reset();
+      }
+      ++done;
+      if (progress) progress(done, n);
+    });
+  }
 
   /// Default parallelism for CLI `--jobs`: the SSMDVFS_JOBS environment
   /// variable when set (>= 1), else std::thread::hardware_concurrency().

@@ -340,6 +340,22 @@ TEST(EngineLoop, ChipWideMatchesPreEngineReference) {
   expectExactlyEqual(ref, now);
 }
 
+TEST(EngineLoop, ChipWideHonoursMaxEpochs) {
+  // The epoch bound is a normal exit in chip-wide mode too: five epochs,
+  // no timeout error, and the program is left unfinished.
+  const OndemandFactory factory(VfTable::titanX());
+  engine::SimBackend backend(makeGpu("bfs"));
+  engine::LoopConfig cfg;
+  cfg.max_time_ns = kNsPerMs;
+  cfg.chip_wide = true;
+  cfg.max_epochs = 5;
+  RunResult r;
+  ASSERT_NO_THROW(
+      r = engine::EpochLoop(cfg).run(backend, backend, factory, "ondemand"));
+  EXPECT_EQ(r.epochs, 5);
+  EXPECT_FALSE(backend.done());
+}
+
 TEST(EngineLoop, SequenceMatchesPreEngineReference) {
   const PcstallFactory factory(VfTable::titanX(), PcstallConfig{});
   const std::vector<KernelProfile> programs = {workloadByName("spmv"),

@@ -1,6 +1,7 @@
 // Unit tests for the work-stealing ThreadPool (src/sched): slot-indexed
 // parallelFor correctness, nested submission, inline (jobs == 1) mode,
-// exception propagation through waitAll/parallelFor, and defaultJobs().
+// exception propagation through waitAll/parallelFor, the ordered sweep
+// collector (parallelForOrdered), and defaultJobs().
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -111,6 +113,85 @@ TEST(ThreadPool, InlineModeStillPropagatesExceptions) {
                std::runtime_error);
   pool.submit([] { throw std::runtime_error("inline submit"); });
   EXPECT_THROW(pool.waitAll(), std::runtime_error);
+}
+
+/// Busy work whose length falls with the index, so low indices finish
+/// LAST on a multi-lane pool: the worst case for an ordered collector.
+constexpr std::size_t kOrderedJobs = 8;
+std::size_t unevenJob(std::size_t i) {
+  volatile std::size_t sink = 0;
+  for (std::size_t k = 0; k < (kOrderedJobs - i) * 200000; ++k)
+    sink = sink + k;
+  return i * 10;
+}
+
+TEST(ThreadPool, ParallelForOrderedEmitsInIndexOrder) {
+  ThreadPool pool(4);
+  std::vector<std::size_t> emitted;
+  pool.parallelForOrdered(kOrderedJobs, unevenJob,
+                          [&](std::size_t r) { emitted.push_back(r); });
+  ASSERT_EQ(emitted.size(), kOrderedJobs);
+  for (std::size_t i = 0; i < kOrderedJobs; ++i) EXPECT_EQ(emitted[i], i * 10);
+}
+
+TEST(ThreadPool, ParallelForOrderedReportsProgressOncePerJob) {
+  ThreadPool pool(4);
+  std::vector<std::size_t> dones;
+  std::size_t emitted = 0;
+  pool.parallelForOrdered(
+      kOrderedJobs, unevenJob, [&](std::size_t) { ++emitted; },
+      [&](std::size_t done, std::size_t total) {
+        EXPECT_EQ(total, kOrderedJobs);
+        dones.push_back(done);
+      });
+  EXPECT_EQ(emitted, kOrderedJobs);
+  // Called under the collector lock, so the counts arrive as 1, 2, ..., n.
+  ASSERT_EQ(dones.size(), kOrderedJobs);
+  for (std::size_t k = 0; k < kOrderedJobs; ++k) EXPECT_EQ(dones[k], k + 1);
+}
+
+TEST(ThreadPool, ParallelForOrderedRethrowsJobException) {
+  ThreadPool pool(4);
+  std::vector<std::size_t> emitted;
+  EXPECT_THROW(pool.parallelForOrdered(
+                   kOrderedJobs,
+                   [](std::size_t i) {
+                     if (i == 3) throw std::runtime_error("cell failed");
+                     return unevenJob(i);
+                   },
+                   [&](std::size_t r) { emitted.push_back(r); }),
+               std::runtime_error);
+  // Only the prefix before the failed index is ever emitted.
+  EXPECT_EQ(emitted, (std::vector<std::size_t>{0, 10, 20}));
+  // The pool stays usable after a failed batch.
+  std::size_t after = 0;
+  pool.parallelForOrdered(
+      kOrderedJobs, unevenJob, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after, kOrderedJobs);
+}
+
+TEST(ThreadPool, ParallelForOrderedInlineModeEmitsEachResultImmediately) {
+  ThreadPool pool(1);
+  std::vector<std::string> log;
+  pool.parallelForOrdered(
+      kOrderedJobs,
+      [&](std::size_t i) {
+        log.push_back("job" + std::to_string(i));
+        return unevenJob(i);
+      },
+      [&](std::size_t r) { log.push_back("emit" + std::to_string(r / 10)); },
+      [&](std::size_t done, std::size_t) {
+        log.push_back("progress" + std::to_string(done));
+      });
+  // jobs == 1 is the serial path: each job is emitted and reported before
+  // the next one starts.
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < kOrderedJobs; ++i) {
+    expected.push_back("job" + std::to_string(i));
+    expected.push_back("emit" + std::to_string(i));
+    expected.push_back("progress" + std::to_string(i + 1));
+  }
+  EXPECT_EQ(log, expected);
 }
 
 TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {

@@ -16,9 +16,8 @@
 //   * keys listed in --floors must clear an absolute minimum and keys in
 //     --ceilings must stay under an absolute maximum — the acceptance
 //     criteria that hold on any machine (back-to-back timing ratios,
-//     bounded violation fractions). Without --floors the historical
-//     defaults apply: speedup_packed_vs_reference >= 3.0 (--min-speedup)
-//     and speedup_replay_vs_sim >= 100.0 (--min-replay-speedup);
+//     bounded violation fractions). Every gate states its bounds
+//     explicitly; there are no built-in floors;
 //   * the "simd_tier" field is machine-dependent (which vector kernels the
 //     runtime dispatcher selected: "avx2", "neon" or "scalar") and is
 //     reported, never compared. Bounds given via --simd-floors /
@@ -34,7 +33,6 @@
 //               [--simd-floors key=min[,key=min...]]
 //               [--simd-ceilings key=max[,key=max...]]
 //               [--approx key[,key...]]
-//               [--min-speedup X] [--min-replay-speedup X]
 //               [--run BENCH_BINARY] [--out-env VAR]
 //
 // Defaults compare ./BENCH_inference.json against
@@ -168,9 +166,6 @@ struct Options {
   std::string run_binary;  ///< when set, regenerate `fresh` first
   std::string out_env = "SSM_BENCH_INFERENCE_OUT";
   double tolerance = 4.0;
-  double min_speedup = 3.0;
-  double min_replay_speedup = 100.0;
-  bool floors_overridden = false;       ///< --floors replaces the defaults
   std::map<std::string, double> floors;
   std::map<std::string, double> ceilings;
   std::map<std::string, double> simd_floors;    ///< waived on scalar hosts
@@ -220,7 +215,6 @@ bool parseArgs(int argc, char** argv, Options& opt) {
       opt.out_env = val;
     } else if (key == "--floors") {
       if ((val = next()) == nullptr) return false;
-      opt.floors_overridden = true;
       if (!parseBounds(val, opt.floors, key)) return false;
     } else if (key == "--ceilings") {
       if ((val = next()) == nullptr) return false;
@@ -240,12 +234,6 @@ bool parseArgs(int argc, char** argv, Options& opt) {
     } else if (key == "--tolerance") {
       if ((val = next()) == nullptr) return false;
       opt.tolerance = std::strtod(val, nullptr);
-    } else if (key == "--min-speedup") {
-      if ((val = next()) == nullptr) return false;
-      opt.min_speedup = std::strtod(val, nullptr);
-    } else if (key == "--min-replay-speedup") {
-      if ((val = next()) == nullptr) return false;
-      opt.min_replay_speedup = std::strtod(val, nullptr);
     } else {
       std::fprintf(stderr, "bench_check: unknown argument %s\n", key.c_str());
       return false;
@@ -254,12 +242,6 @@ bool parseArgs(int argc, char** argv, Options& opt) {
   if (opt.tolerance < 1.0) {
     std::fprintf(stderr, "bench_check: --tolerance must be >= 1\n");
     return false;
-  }
-  // --floors replaces the historical inference floors; without it they
-  // stay in force (tunable via --min-speedup / --min-replay-speedup).
-  if (!opt.floors_overridden) {
-    opt.floors["speedup_packed_vs_reference"] = opt.min_speedup;
-    opt.floors["speedup_replay_vs_sim"] = opt.min_replay_speedup;
   }
   return true;
 }

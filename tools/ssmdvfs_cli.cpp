@@ -273,7 +273,7 @@ int cmdRun(const Args& args) {
   const std::unique_ptr<GovernorFactory> factory =
       fleet::makeGovernorFactory(mech, vf, preset, model);
 
-  // Same salt as fleet::FleetRunner, so `run --faults` reproduces the
+  // Same derivation as fleet::FleetRunner, so `run --faults` reproduces the
   // corresponding sweep cell. An absent/empty spec makes no RNG draws and
   // leaves the output byte-identical to a fault-free build.
   const faults::FaultSpec fault_spec =
@@ -281,7 +281,7 @@ int cmdRun(const Args& args) {
   std::unique_ptr<faults::FaultInjector> injector;
   if (fault_spec.active())
     injector = std::make_unique<faults::FaultInjector>(
-        fault_spec, Rng(seed).fork(0xFA17).fork(0).nextU64());
+        fault_spec, faults::injectorSeed(seed, 0));
 
   EpochTraceRecorder trace;
   GovernorModeLog mode_log;
