@@ -39,72 +39,4 @@ void PowerCapController::reset() {
   epochs_ = 0;
 }
 
-PowerCapRunResult runWithPowerCap(Gpu gpu,
-                                  std::shared_ptr<const SsmModel> model,
-                                  const PowerCapConfig& cap_cfg,
-                                  SsmGovernorConfig governor_cfg,
-                                  TimeNs max_time_ns) {
-  SSM_CHECK(model != nullptr && model->trained(),
-            "power capping needs a trained model");
-
-  PowerCapController controller(cap_cfg);
-  governor_cfg.loss_preset = std::max(controller.preset(), 1e-6);
-
-  const int n = gpu.numClusters();
-  std::vector<std::unique_ptr<SsmdvfsGovernor>> governors;
-  governors.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    governors.push_back(
-        std::make_unique<SsmdvfsGovernor>(model, governor_cfg));
-
-  std::vector<VfLevel> levels(static_cast<std::size_t>(n),
-                              gpu.vfTable().defaultLevel());
-  std::vector<double> level_epochs(gpu.vfTable().size(), 0.0);
-
-  PowerCapRunResult out;
-  out.run.mechanism = "ssmdvfs+powercap";
-  double power_sum = 0.0;
-  int over_cap = 0;
-
-  while (!gpu.allDone() && gpu.nowNs() < max_time_ns) {
-    const GpuEpochReport report = gpu.runEpoch(levels);
-    ++out.run.epochs;
-    power_sum += report.chip_power_w;
-    out.max_power_w = std::max(out.max_power_w, report.chip_power_w);
-    over_cap += report.chip_power_w > cap_cfg.cap_w;
-
-    const double preset =
-        std::max(controller.onEpoch(report.chip_power_w), 1e-6);
-    for (int i = 0; i < n; ++i) {
-      auto& gov = governors[static_cast<std::size_t>(i)];
-      gov->setLossPreset(preset);
-      const auto& obs = report.clusters[static_cast<std::size_t>(i)];
-      level_epochs[static_cast<std::size_t>(obs.level)] += 1.0;
-      levels[static_cast<std::size_t>(i)] =
-          gpu.vfTable().clamp(gov->decide(obs));
-    }
-    if (report.all_done) break;
-  }
-  SSM_CHECK(gpu.allDone(), "capped run did not retire; raise max_time_ns");
-
-  out.run.exec_time_ns = gpu.finishTimeNs();
-  out.run.energy_j = gpu.totalEnergyJ();
-  out.run.edp = gpu.edp();
-  out.run.instructions = gpu.totalInstructions();
-  out.mean_power_w =
-      out.run.epochs > 0 ? power_sum / out.run.epochs : 0.0;
-  out.run.mean_power_w = out.mean_power_w;
-  out.violation_frac =
-      out.run.epochs > 0
-          ? static_cast<double>(over_cap) / out.run.epochs
-          : 0.0;
-  out.final_preset = controller.preset();
-  const double total = static_cast<double>(out.run.epochs) * n;
-  out.run.level_histogram.resize(level_epochs.size());
-  for (std::size_t l = 0; l < level_epochs.size(); ++l)
-    out.run.level_histogram[l] =
-        total > 0 ? level_epochs[l] / total : 0.0;
-  return out;
-}
-
 }  // namespace ssm

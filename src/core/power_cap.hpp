@@ -74,7 +74,8 @@ struct PowerCapRunResult {
 /// Runs a program under SSMDVFS with the power-cap controller scheduling
 /// the working preset every epoch. The governors' own self-calibration
 /// stays active inside each epoch's decision; the controller only moves
-/// the preset they aim for.
+/// the preset they aim for. Implemented over engine::EpochLoop in
+/// engine/runner_adapter.cpp (link ssm_engine).
 [[nodiscard]] PowerCapRunResult runWithPowerCap(
     Gpu gpu, std::shared_ptr<const SsmModel> model,
     const PowerCapConfig& cap_cfg, SsmGovernorConfig governor_cfg = {},

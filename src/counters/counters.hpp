@@ -106,6 +106,7 @@ class CounterBlock {
   [[nodiscard]] std::span<const double> raw() const noexcept {
     return values_;
   }
+  [[nodiscard]] std::span<double> raw() noexcept { return values_; }
 
   void clear() noexcept { values_.fill(0.0); }
 

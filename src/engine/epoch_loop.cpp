@@ -62,14 +62,8 @@ std::vector<std::unique_ptr<DvfsGovernor>> makeGovernors(
 RunResult EpochLoop::run(EpochSource& source, ActuationSink& sink,
                          const GovernorFactory& factory,
                          std::string mechanism_name) const {
-  const int count = cfg_.chip_wide ? 1 : source.numClusters();
-  if (cfg_.harden) {
-    const HardenedGovernorFactory hardened(factory, source.vfTable(),
-                                           cfg_.harden_cfg, cfg_.mode_log);
-    const auto governors = makeGovernors(hardened, count);
-    return run(source, sink, governors, std::move(mechanism_name));
-  }
-  const auto governors = makeGovernors(factory, count);
+  const auto governors =
+      makeGovernors(factory, cfg_.chip_wide ? 1 : source.numClusters());
   return run(source, sink, governors, std::move(mechanism_name));
 }
 

@@ -4,9 +4,11 @@
 // runWithChipGovernor, runSequence) and could only ever drive the live Gpu.
 // It now lives here once, backend-agnostic: telemetry comes from an
 // EpochSource, commanded levels go through an ActuationSink, and the
-// cross-cutting seams — trace recording, fault injection, hardened-governor
-// wrapping — are loop concerns configured once instead of being
-// re-implemented per entry point.
+// cross-cutting seams — trace recording, fault injection, thermal throttle,
+// keyframe capture — are loop concerns configured once instead of being
+// re-implemented per entry point. Governor decorators such as the
+// HardenedGovernor watchdog are not loop concerns: wrap the factory
+// (HardenedGovernorFactory) before handing it to the loop.
 //
 // Numeric contract: driving a SimBackend, the loop's arithmetic (accumulator
 // order, histogram bookkeeping, aggregation in chip-wide mode) is exactly
@@ -20,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/hardened_governor.hpp"
 #include "engine/epoch_stream.hpp"
 #include "gpusim/runner.hpp"
 
@@ -73,11 +74,6 @@ struct LoopConfig {
   /// decision step. Faults, throttle, keyframes and levels_io are
   /// per-cluster seams and not supported in this mode.
   bool chip_wide = false;
-  /// Wrap every governor in the HardenedGovernor decorator (degraded-mode
-  /// watchdog); transitions go to `mode_log` when set.
-  bool harden = false;
-  HardenedConfig harden_cfg{};
-  GovernorModeLog* mode_log = nullptr;
   /// Message of the ContractError thrown when the stream is not done by
   /// max_time_ns (kept configurable so the legacy entry points preserve
   /// their exact diagnostics).
@@ -93,16 +89,14 @@ class EpochLoop {
  public:
   explicit EpochLoop(LoopConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Creates governors from `factory` (wrapping them per LoopConfig::harden)
-  /// and runs the stream to completion.
+  /// Creates governors from `factory` and runs the stream to completion.
   [[nodiscard]] RunResult run(EpochSource& source, ActuationSink& sink,
                               const GovernorFactory& factory,
                               std::string mechanism_name) const;
 
   /// Runs with externally owned governors — the sequence-execution use case
   /// where policy state persists across programs. `governors.size()` must be
-  /// numClusters() (or 1 in chip-wide mode). Hardening does not apply here:
-  /// wrap before constructing the governors instead.
+  /// numClusters() (or 1 in chip-wide mode).
   [[nodiscard]] RunResult run(
       EpochSource& source, ActuationSink& sink,
       std::span<const std::unique_ptr<DvfsGovernor>> governors,

@@ -26,21 +26,13 @@ int GpuFork::stepUntil(TimeNs deadline_ns, VfLevel level) {
 }
 
 GpuBranch::GpuBranch(Gpu start, const GovernorFactory& factory,
-                     std::span<const VfLevel> initial_levels,
-                     const BranchSeams& seams)
+                     std::span<const VfLevel> initial_levels)
     : backend_(std::move(start)),
-      levels_(initial_levels.begin(), initial_levels.end()),
-      seams_(seams) {
+      levels_(initial_levels.begin(), initial_levels.end()) {
   const int n = backend_.numClusters();
   SSM_CHECK(static_cast<int>(levels_.size()) == n,
             "branch initial levels need one entry per cluster");
-  if (seams_.harden) {
-    const HardenedGovernorFactory hardened(factory, backend_.vfTable(),
-                                           seams_.harden_cfg, seams_.mode_log);
-    governors_ = makeGovernors(hardened, n);
-  } else {
-    governors_ = makeGovernors(factory, n);
-  }
+  governors_ = makeGovernors(factory, n);
 }
 
 RunResult GpuBranch::advance(std::int64_t max_epochs) {
@@ -51,7 +43,6 @@ RunResult GpuBranch::advance(std::int64_t max_epochs) {
   cfg.max_time_ns = std::numeric_limits<TimeNs>::max();
   cfg.max_epochs = max_epochs;
   cfg.levels_io = &levels_;
-  cfg.trace = seams_.trace;
   const EpochLoop loop(cfg);
   return loop.run(backend_, backend_,
                   std::span<const std::unique_ptr<DvfsGovernor>>(governors_),

@@ -15,11 +15,11 @@
 //                  datagen's tool: fixed uniform levels, no governors, the
 //                  caller owns the control policy.
 //   * GpuBranch  — a branched machine driven by real governors through the
-//                  full EpochLoop (trace/harden seams included), advanced
-//                  window by window. This is counterfactual replay's tool:
-//                  repeated advance(k) calls are exactly equivalent to one
-//                  long closed-loop run, because commanded levels persist
-//                  across calls via LoopConfig::levels_io.
+//                  full EpochLoop, advanced window by window. This is
+//                  counterfactual replay's tool: repeated advance(k)
+//                  calls are exactly equivalent to one long closed-loop
+//                  run, because commanded levels persist across calls via
+//                  LoopConfig::levels_io.
 //
 // keyframeGpu() turns a trace keyframe (.ssmtrace v3) back into the live
 // machine it snapshotted, so branches can start from recorded history.
@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/hardened_governor.hpp"
 #include "engine/epoch_loop.hpp"
 #include "engine/sim_backend.hpp"
 #include "engine/trace_io.hpp"
@@ -82,33 +81,20 @@ class GpuFork {
   Gpu gpu_;
 };
 
-/// Cross-cutting seams a governor-driven branch threads through its loop —
-/// the subset of LoopConfig that makes sense for a resumed branch. Faults
-/// are deliberately absent: a branch restored from a keyframe already
-/// carries the recorded faults' effects in its machine state.
-struct BranchSeams {
-  /// Wrap the branch governors in the HardenedGovernor decorator, as the
-  /// recording run with --harden would have.
-  bool harden = false;
-  HardenedConfig harden_cfg{};
-  GovernorModeLog* mode_log = nullptr;
-  /// Re-record the branch's epochs (e.g. to materialize a counterfactual
-  /// trace).
-  EpochTraceRecorder* trace = nullptr;
-};
-
 /// A branched machine driven by real governors through the EpochLoop,
 /// advanced in bounded windows. Governors are created once in the
 /// constructor and persist across advance() calls, as do the commanded
 /// levels, so N bounded advances are exactly one long closed-loop run.
+/// Faults are deliberately not a branch seam: a branch restored from a
+/// keyframe already carries the recorded faults' effects in its machine
+/// state. A hardened branch takes a HardenedGovernorFactory.
 class GpuBranch {
  public:
   /// `initial_levels` seeds the first epoch's commanded levels (size must be
   /// numClusters()) — for a branch resumed from a keyframe these are the
   /// levels the recorded run's clusters ran at in the keyframe's epoch.
   GpuBranch(Gpu start, const GovernorFactory& factory,
-            std::span<const VfLevel> initial_levels,
-            const BranchSeams& seams = {});
+            std::span<const VfLevel> initial_levels);
 
   /// Advances up to `max_epochs` epochs (must be > 0) closed-loop; stops
   /// early when the program retires. Returns the window's RunResult (epoch
@@ -125,7 +111,6 @@ class GpuBranch {
   SimBackend backend_;
   std::vector<std::unique_ptr<DvfsGovernor>> governors_;
   std::vector<VfLevel> levels_;
-  BranchSeams seams_;
 };
 
 }  // namespace ssm::engine

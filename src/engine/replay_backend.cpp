@@ -69,11 +69,7 @@ void resimulateDivergentWindows(const EpochTrace& trace,
     for (const auto& obs : seed_epoch.clusters)
       initial_levels.push_back(obs.level);
 
-    BranchSeams seams;
-    seams.harden = opts.harden;
-    seams.harden_cfg = opts.harden_cfg;
-    seams.mode_log = opts.mode_log;
-    GpuBranch branch(std::move(start), factory, initial_levels, seams);
+    GpuBranch branch(std::move(start), factory, initial_levels);
 
     // Advance epoch by epoch until the branch has retired the recorded
     // window's instructions; the final (fractional) epoch is interpolated so
@@ -198,10 +194,6 @@ ReplayReport replayTrace(const EpochTrace& trace, const GovernorFactory& factory
   LoopConfig cfg;
   // The recorded run already finished; the cutoff must never truncate it.
   cfg.max_time_ns = std::numeric_limits<TimeNs>::max();
-  cfg.trace = opts.recorder;
-  cfg.harden = opts.harden;
-  cfg.harden_cfg = opts.harden_cfg;
-  cfg.mode_log = opts.mode_log;
   cfg.timeout_message = "replay stream did not drain; trace is inconsistent";
 
   ReplayReport report;

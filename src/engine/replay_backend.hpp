@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/hardened_governor.hpp"
 #include "engine/epoch_stream.hpp"
 #include "engine/trace_io.hpp"
 
@@ -103,14 +102,9 @@ class ReplayBackend final : public EpochSource, public ActuationSink {
 
 /// One-call replay: stream `trace` through governors from `factory` and
 /// report the result plus the agreement statistics.
+/// A hardened replay passes a HardenedGovernorFactory; the counterfactual
+/// branches are built from the same factory.
 struct ReplayOptions {
-  /// Wrap the governors in the HardenedGovernor decorator, as a live run
-  /// with --harden would.
-  bool harden = false;
-  HardenedConfig harden_cfg{};
-  GovernorModeLog* mode_log = nullptr;
-  /// Re-record the replayed stream (e.g. to render a timeline of a trace).
-  EpochTraceRecorder* recorder = nullptr;
   /// Closed-loop counterfactual mode: requires a keyframed (v3) trace. For
   /// every keyframe window in which the candidate governor diverged from the
   /// recorded policy, fork the machine from the window's keyframe, re-run

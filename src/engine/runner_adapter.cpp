@@ -1,9 +1,9 @@
-// The legacy gpusim/runner.hpp entry points, reimplemented as thin adapters
-// over the engine layer: every one is "construct a SimBackend, configure an
-// EpochLoop, run". The declarations stay in gpusim/runner.hpp (include
-// compatibility for every caller) but the implementation lives here so
-// ssm_gpusim does not depend on ssm_engine — the engine links gpusim, not
-// the other way around.
+// The legacy gpusim/runner.hpp entry points and core/power_cap.hpp's capped
+// run, reimplemented as thin adapters over the engine layer: every one is
+// "construct a SimBackend, configure an EpochLoop, run". The declarations
+// stay in their headers (include compatibility for every caller) but the
+// implementation lives here so ssm_gpusim and ssm_core do not depend on
+// ssm_engine — the engine links them, not the other way around.
 //
 // Byte-identity: each adapter reproduces the exact LoopConfig its pre-engine
 // loop hard-wired (max time, trace/fault hooks, chip-wide flag, timeout
@@ -12,14 +12,50 @@
 // (pinned by tests/test_engine.cpp against a reference reimplementation).
 #include "gpusim/runner.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "core/power_cap.hpp"
 #include "engine/epoch_loop.hpp"
 #include "engine/sim_backend.hpp"
 
 namespace ssm {
+namespace {
+
+/// Forwards a source's epochs, feeding each one's chip power to the cap
+/// controller and handing the preset it schedules to the governors before
+/// they decide on that epoch.
+struct PowerCappedSource final : engine::EpochSource {
+  PowerCappedSource(engine::EpochSource& in, PowerCapController& ctl)
+      : inner(in), controller(ctl) {}
+
+  const VfTable& vfTable() const noexcept override { return inner.vfTable(); }
+  int numClusters() const noexcept override { return inner.numClusters(); }
+  bool done() const noexcept override { return inner.done(); }
+  TimeNs nowNs() const noexcept override { return inner.nowNs(); }
+  engine::StreamStats stats() const override { return inner.stats(); }
+  GpuEpochReport nextEpoch(std::span<const VfLevel> levels) override {
+    GpuEpochReport report = inner.nextEpoch(levels);
+    max_power_w = std::max(max_power_w, report.chip_power_w);
+    over_cap += report.chip_power_w > controller.cap();
+    const double preset =
+        std::max(controller.onEpoch(report.chip_power_w), 1e-6);
+    for (SsmdvfsGovernor* gov : governors) gov->setLossPreset(preset);
+    return report;
+  }
+
+  engine::EpochSource& inner;
+  PowerCapController& controller;
+  std::vector<SsmdvfsGovernor*> governors;
+  double max_power_w = 0.0;
+  int over_cap = 0;
+};
+
+}  // namespace
 
 RunResult runWithGovernor(Gpu gpu, const GovernorFactory& factory,
                           std::string mechanism_name, TimeNs max_time_ns,
@@ -81,6 +117,41 @@ std::vector<RunResult> runSequence(const std::vector<KernelProfile>& programs,
     results.push_back(std::move(result));
   }
   return results;
+}
+
+PowerCapRunResult runWithPowerCap(Gpu gpu,
+                                  std::shared_ptr<const SsmModel> model,
+                                  const PowerCapConfig& cap_cfg,
+                                  SsmGovernorConfig governor_cfg,
+                                  TimeNs max_time_ns) {
+  SSM_CHECK(model != nullptr && model->trained(),
+            "power capping needs a trained model");
+  PowerCapController controller(cap_cfg);
+  governor_cfg.loss_preset = std::max(controller.preset(), 1e-6);
+
+  engine::SimBackend backend(std::move(gpu));
+  PowerCappedSource source(backend, controller);
+  std::vector<std::unique_ptr<DvfsGovernor>> governors;
+  for (int i = 0; i < backend.numClusters(); ++i) {
+    auto gov = std::make_unique<SsmdvfsGovernor>(model, governor_cfg);
+    source.governors.push_back(gov.get());
+    governors.push_back(std::move(gov));
+  }
+  engine::LoopConfig cfg;
+  cfg.max_time_ns = max_time_ns;
+  cfg.timeout_message = "capped run did not retire; raise max_time_ns";
+
+  PowerCapRunResult out;
+  out.run = engine::EpochLoop(cfg).run(source, backend, governors,
+                                       "ssmdvfs+powercap");
+  out.mean_power_w = out.run.mean_power_w;
+  out.max_power_w = source.max_power_w;
+  out.violation_frac =
+      out.run.epochs > 0
+          ? static_cast<double>(source.over_cap) / out.run.epochs
+          : 0.0;
+  out.final_preset = controller.preset();
+  return out;
 }
 
 }  // namespace ssm

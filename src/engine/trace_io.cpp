@@ -7,6 +7,7 @@
 
 #include "common/bytes.hpp"
 #include "common/check.hpp"
+#include "gpusim/gpu_snapshot.hpp"
 #include "gpusim/trace.hpp"
 
 namespace ssm::engine {
@@ -14,76 +15,70 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8;
 
-// Encoded sizes (lower bounds) of the repeated payload records, used to
-// bound every decoded count by the bytes remaining.
-constexpr std::size_t kVfPointBytes = 2 * 8;
-constexpr std::size_t kEpochHeaderBytes = 4 * 8 + 1;
-constexpr std::size_t kObservationBytes =
-    4 + 4 * 8 + 4 + 1 + 8 * static_cast<std::size_t>(kNumCounters);
-constexpr std::size_t kKeyframeHeaderBytes = 8 + 8 + 4;
+/// The trace's metadata header.
+template <class IO, RecordOf<EpochTrace> Trace>
+void fields(IO& io, Trace& t) {
+  io(t.workload);
+  io(t.mechanism);
+  io(t.seed);
+}
 
-void writeRunResult(ByteWriter& w, const RunResult& r, bool has_thermal) {
-  w.str(r.workload);
-  w.str(r.mechanism);
-  w.i64(r.exec_time_ns);
-  w.f64(r.energy_j);
-  w.f64(r.edp);
-  w.i64(r.instructions);
-  w.i32(r.epochs);
-  w.f64(r.mean_power_w);
-  w.u32(static_cast<std::uint32_t>(r.level_histogram.size()));
-  for (double h : r.level_histogram) w.f64(h);
+/// The recorded run; the thermal fields exist from v2 on.
+template <class IO, RecordOf<RunResult> Result>
+void fields(IO& io, Result& r, bool has_thermal) {
+  io(r.workload);
+  io(r.mechanism);
+  io(r.exec_time_ns);
+  io(r.energy_j);
+  io(r.edp);
+  io(r.instructions);
+  io(r.epochs);
+  io(r.mean_power_w);
+  io(r.level_histogram, kScalarField);
   if (has_thermal) {
-    w.f64(r.peak_temp_c);
-    w.i32(r.throttle_epochs);
+    io(r.peak_temp_c);
+    io(r.throttle_epochs);
   }
 }
 
-RunResult readRunResult(ByteReader& r, bool has_thermal) {
-  RunResult out;
-  out.workload = r.str();
-  out.mechanism = r.str();
-  out.exec_time_ns = r.i64();
-  out.energy_j = r.f64();
-  out.edp = r.f64();
-  out.instructions = r.i64();
-  out.epochs = r.i32();
-  out.mean_power_w = r.f64();
-  const std::uint32_t hist = r.count(sizeof(double));
-  out.level_histogram.reserve(hist);
-  for (std::uint32_t i = 0; i < hist; ++i)
-    out.level_histogram.push_back(r.f64());
+template <class IO, RecordOf<EpochObservation> Obs>
+void fields(IO& io, Obs& obs) {
+  io(obs.level);
+  io(obs.power_w);
+  io(obs.instructions);
+  io(obs.epoch_start_ns);
+  io(obs.epoch_len_ns);
+  io(obs.cluster_id);
+  io(obs.cluster_done);
+  for (auto& c : obs.counters.raw()) io(c);
+}
+
+/// One epoch: its header, the thermal tracks when the trace has them, then
+/// one observation per cluster. Decoding sizes `cluster_temps_c` and
+/// `clusters` to the trace's cluster count first.
+template <class IO, RecordOf<GpuEpochReport> Report>
+void fields(IO& io, Report& rep, bool has_thermal) {
+  io(rep.chip_power_w);
+  io(rep.dram_util);
+  io(rep.epoch_start_ns);
+  io(rep.epoch_len_ns);
+  io(rep.all_done);
   if (has_thermal) {
-    out.peak_temp_c = r.f64();
-    out.throttle_epochs = r.i32();
+    io(rep.package_temp_c);
+    for (auto& t : rep.cluster_temps_c) io(t);
   }
-  return out;
+  for (auto& obs : rep.clusters) fields(io, obs);
 }
 
-void writeObservation(ByteWriter& w, const EpochObservation& obs) {
-  w.i32(obs.level);
-  w.f64(obs.power_w);
-  w.i64(obs.instructions);
-  w.i64(obs.epoch_start_ns);
-  w.i64(obs.epoch_len_ns);
-  w.i32(obs.cluster_id);
-  w.u8(obs.cluster_done ? 1 : 0);
-  for (double c : obs.counters.raw()) w.f64(c);
+/// A keyframe: its epoch, the blob's own checksum, then the blob.
+template <class IO, RecordOf<TraceKeyframe> Keyframe, class Checksum>
+void fields(IO& io, Keyframe& kf, Checksum& checksum) {
+  io(kf.epoch);
+  io(checksum);
+  io(kf.gpu_blob);
 }
 
-EpochObservation readObservation(ByteReader& r) {
-  EpochObservation obs;
-  obs.level = r.i32();
-  obs.power_w = r.f64();
-  obs.instructions = r.i64();
-  obs.epoch_start_ns = r.i64();
-  obs.epoch_len_ns = r.i64();
-  obs.cluster_id = r.i32();
-  obs.cluster_done = r.u8() != 0;
-  for (int c = 0; c < kNumCounters; ++c)
-    obs.counters.set(static_cast<CounterId>(c), r.f64());
-  return obs;
-}
+constexpr auto kRecordFields = [](auto& io, auto& rec) { fields(io, rec); };
 
 [[nodiscard]] bool traceHasThermal(const EpochTrace& trace) {
   for (const GpuEpochReport& rep : trace.epochs)
@@ -105,37 +100,21 @@ std::string buildPayload(const EpochTrace& trace, std::uint32_t version) {
       version == kTraceVersionV3 ? traceHasThermal(trace)
                                  : version >= kTraceVersionV2;
   ByteWriter w;
-  w.str(trace.workload);
-  w.str(trace.mechanism);
-  w.u64(trace.seed);
+  fields(w, trace);
   // v3 decouples the thermal tracks from the version number: a keyframed
   // trace may or may not carry them, so the payload says which.
-  if (version == kTraceVersionV3) w.u8(has_thermal ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(trace.vf.size()));
-  for (const VfPoint& p : trace.vf.points()) {
-    w.f64(p.voltage_v);
-    w.f64(p.freq_mhz);
-  }
-  writeRunResult(w, trace.recorded, has_thermal);
+  if (version == kTraceVersionV3) w(has_thermal);
+  w(trace.vf.points(), kRecordFields);
+  fields(w, trace.recorded, has_thermal);
   w.u32(static_cast<std::uint32_t>(trace.epochs.size()));
   w.u32(static_cast<std::uint32_t>(trace.numClusters()));
   for (const GpuEpochReport& rep : trace.epochs) {
     SSM_CHECK(static_cast<int>(rep.clusters.size()) == trace.numClusters(),
               "cluster count changed mid-trace; cannot serialize");
-    w.f64(rep.chip_power_w);
-    w.f64(rep.dram_util);
-    w.i64(rep.epoch_start_ns);
-    w.i64(rep.epoch_len_ns);
-    w.u8(rep.all_done ? 1 : 0);
-    if (has_thermal) {
-      SSM_CHECK(rep.hasThermal() &&
-                    rep.cluster_temps_c.size() == rep.clusters.size(),
-                "every epoch of a thermal trace must carry one temperature "
-                "per cluster");
-      w.f64(rep.package_temp_c);
-      for (double t : rep.cluster_temps_c) w.f64(t);
-    }
-    for (const EpochObservation& obs : rep.clusters) writeObservation(w, obs);
+    SSM_CHECK(!has_thermal || rep.cluster_temps_c.size() == rep.clusters.size(),
+              "every epoch of a thermal trace must carry one temperature "
+              "per cluster");
+    fields(w, rep, has_thermal);
   }
   if (version == kTraceVersionV3) {
     w.u32(static_cast<std::uint32_t>(trace.keyframes.size()));
@@ -146,9 +125,8 @@ std::string buildPayload(const EpochTrace& trace, std::uint32_t version) {
                 "keyframes must be strictly increasing epoch boundaries "
                 "inside the trace");
       prev_epoch = kf.epoch;
-      w.i64(kf.epoch);
-      w.u64(fnv1a64(kf.gpu_blob));
-      w.str(kf.gpu_blob);
+      const std::uint64_t checksum = fnv1a64(kf.gpu_blob);
+      fields(w, kf, checksum);
     }
   }
   return w.take();
@@ -157,66 +135,46 @@ std::string buildPayload(const EpochTrace& trace, std::uint32_t version) {
 EpochTrace parsePayload(std::string_view payload, std::uint32_t version) {
   ByteReader r(payload);
   EpochTrace trace;
-  trace.workload = r.str();
-  trace.mechanism = r.str();
-  trace.seed = r.u64();
-  const bool has_thermal = version == kTraceVersionV3
-                               ? r.u8() != 0
-                               : version >= kTraceVersionV2;
-  const std::uint32_t vf_points = r.count(kVfPointBytes);
-  if (vf_points == 0)
-    throw DataError("SSMTRACE payload has an empty V/f table");
+  fields(r, trace);
+  bool has_thermal = version >= kTraceVersionV2;
+  if (version == kTraceVersionV3) r(has_thermal);
   std::vector<VfPoint> points;
-  points.reserve(vf_points);
-  for (std::uint32_t i = 0; i < vf_points; ++i) {
-    VfPoint p;
-    p.voltage_v = r.f64();
-    p.freq_mhz = r.f64();
-    points.push_back(p);
-  }
-  trace.vf = VfTable(std::move(points));
-  trace.recorded = readRunResult(r, has_thermal);
-  const std::uint32_t num_epochs = r.count(kEpochHeaderBytes);
+  r(points, kRecordFields);
+  trace.vf = constructDecoded("SSMTRACE V/f table",
+                              [&] { return VfTable(std::move(points)); });
+  fields(r, trace.recorded, has_thermal);
+  const std::uint32_t num_epochs =
+      r.count(byteSize<GpuEpochReport>([](auto& io, auto& rep) {
+        fields(io, rep, /*has_thermal=*/false);
+      }));
   // Only a trace with epochs stores observations to bound the count by.
-  const std::uint32_t num_clusters =
-      r.count(num_epochs > 0 ? kObservationBytes : 0);
-  trace.epochs.reserve(num_epochs);
-  for (std::uint32_t e = 0; e < num_epochs; ++e) {
-    GpuEpochReport rep;
-    rep.chip_power_w = r.f64();
-    rep.dram_util = r.f64();
-    rep.epoch_start_ns = r.i64();
-    rep.epoch_len_ns = r.i64();
-    rep.all_done = r.u8() != 0;
-    if (has_thermal) {
-      rep.package_temp_c = r.f64();
-      rep.cluster_temps_c.reserve(num_clusters);
-      for (std::uint32_t c = 0; c < num_clusters; ++c)
-        rep.cluster_temps_c.push_back(r.f64());
-    }
-    rep.clusters.reserve(num_clusters);
-    for (std::uint32_t c = 0; c < num_clusters; ++c)
-      rep.clusters.push_back(readObservation(r));
-    trace.epochs.push_back(std::move(rep));
+  const std::uint32_t num_clusters = r.count(
+      num_epochs > 0 ? byteSize<EpochObservation>(kRecordFields) : 0);
+  trace.epochs.resize(num_epochs);
+  for (GpuEpochReport& rep : trace.epochs) {
+    if (has_thermal) rep.cluster_temps_c.resize(num_clusters);
+    rep.clusters.resize(num_clusters);
+    fields(r, rep, has_thermal);
   }
   if (version == kTraceVersionV3) {
-    const std::uint32_t num_keyframes = r.count(kKeyframeHeaderBytes);
-    trace.keyframes.reserve(num_keyframes);
+    const auto keyframe_bytes =
+        byteSize<TraceKeyframe>([](auto& io, auto& kf) {
+          const std::uint64_t checksum = 0;
+          fields(io, kf, checksum);
+        });
+    trace.keyframes.resize(r.count(keyframe_bytes));
     std::int64_t prev_epoch = -1;
-    for (std::uint32_t k = 0; k < num_keyframes; ++k) {
-      TraceKeyframe kf;
-      kf.epoch = r.i64();
+    for (TraceKeyframe& kf : trace.keyframes) {
+      std::uint64_t checksum = 0;
+      fields(r, kf, checksum);
       if (kf.epoch <= prev_epoch ||
           kf.epoch >= static_cast<std::int64_t>(num_epochs))
         throw DataError(
             "SSMTRACE keyframe block has out-of-order or out-of-range "
             "epochs");
       prev_epoch = kf.epoch;
-      const std::uint64_t checksum = r.u64();
-      kf.gpu_blob = r.str();
       if (fnv1a64(kf.gpu_blob) != checksum)
         throw DataError("SSMTRACE keyframe block corrupted: checksum mismatch");
-      trace.keyframes.push_back(std::move(kf));
     }
   }
   if (!r.exhausted())

@@ -40,11 +40,16 @@
 //   * fewer payload bytes than payload_size announces -> truncated
 //   * trailing bytes after the payload               -> rejected
 //   * checksum mismatch (payload or keyframe blob)   -> corrupted
+//   * a count larger than the bytes left can hold    -> rejected before
+//                                                       any allocation
+//   * values a validating constructor rejects (e.g. a V/f table that is
+//     not ascending)                                 -> rejected
 //
 // Payload encoding: strings are u32 length + bytes; vectors are u32 count +
 // elements; bools are one byte (0/1); integers and doubles are fixed-width
-// memcpy. The full field order is defined by serializeTrace in trace_io.cpp
-// and documented in docs/engine.md.
+// memcpy. Each record's field order is written once, as a `fields(io, rec)`
+// function in trace_io.cpp that the encoder, the decoder and the size
+// counter all visit (common/bytes.hpp); docs/engine.md summarises it.
 #pragma once
 
 #include <cstdint>

@@ -119,6 +119,11 @@ class Gpu {
   [[nodiscard]] static Gpu restoreState(ByteReader& r);
 
  private:
+  /// The mutable chip-level state in snapshot wire order; `Self` is const
+  /// when encoding. Defined in gpu_snapshot.cpp.
+  template <class IO, class Self>
+  static void chipFields(IO& io, Self& gpu);
+
   std::shared_ptr<const GpuConfig> cfg_;
   VfTable vf_;
   ChipPowerModel power_;

@@ -22,9 +22,18 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.hpp"
 #include "gpusim/gpu.hpp"
 
 namespace ssm {
+
+/// A V/f point's wire fields, shared by the snapshot and the .ssmtrace
+/// payload (see common/bytes.hpp for the field-list idiom).
+template <class IO, RecordOf<VfPoint> Point>
+void fields(IO& io, Point& p) {
+  io(p.voltage_v);
+  io(p.freq_mhz);
+}
 
 /// The complete machine as a byte blob; see the header comment.
 [[nodiscard]] std::string serializeGpu(const Gpu& gpu);

@@ -16,7 +16,7 @@ SmCluster::SmCluster(std::shared_ptr<const GpuConfig> cfg,
   SSM_CHECK(cfg_ != nullptr && kernel_ != nullptr);
   const int warps =
       std::min(kernel_->warps_per_cluster, cfg_->max_warps_per_cluster);
-  SSM_CHECK(warps <= kWakeWarpMask + 1);
+  SSM_CHECK(warps > 0 && warps <= kWakeWarpMask + 1);
   warps_.reserve(static_cast<std::size_t>(warps));
   wake_heap_.assign(static_cast<std::size_t>(warps), 0);
   wheel_key_.assign(static_cast<std::size_t>(warps), 0);

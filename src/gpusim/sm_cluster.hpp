@@ -90,7 +90,15 @@ class SmCluster {
   /// tables are not serialized); mismatches throw DataError.
   void restoreState(ByteReader& r);
 
+  /// A lower bound on the saveState image of a cluster with `warps` warps.
+  [[nodiscard]] static std::size_t minStateBytes(int warps);
+
  private:
+  /// The retirement counters that close a saveState image; `Self` is const
+  /// when encoding. Defined in gpu_snapshot.cpp.
+  template <class IO, class Self>
+  static void retireFields(IO& io, Self& cluster);
+
   enum class InstClass { kIalu, kFalu, kSfu, kLoad, kStore, kShared, kBranch };
 
   struct WarpState {

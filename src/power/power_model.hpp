@@ -129,10 +129,12 @@ class EnergyAccountant {
     elapsed_ns_ = 0;
   }
 
-  /// Overwrites the accumulated totals (simulator snapshot restore).
-  void restore(double energy_j, TimeNs elapsed_ns) noexcept {
-    energy_j_ = energy_j;
-    elapsed_ns_ = elapsed_ns;
+  /// The accumulated totals in snapshot wire order (gpusim/gpu_snapshot.cpp);
+  /// `Self` is const when encoding.
+  template <class IO, class Self>
+  static void fields(IO& io, Self& acc) {
+    io(acc.energy_j_);
+    io(acc.elapsed_ns_);
   }
 
  private:

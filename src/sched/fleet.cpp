@@ -178,12 +178,14 @@ SweepResult FleetRunner::runReplayJob(const SweepJob& job) const {
                          : static_cast<const GovernorFactory&>(static_default);
 
   GovernorModeLog mode_log;
+  const HardenedGovernorFactory hardened(chosen, trace.vf, HardenedConfig{},
+                                         &mode_log);
   engine::ReplayOptions opts;
-  opts.harden = spec_.harden;
-  opts.mode_log = spec_.harden ? &mode_log : nullptr;
   opts.counterfactual = spec_.counterfactual;
-  const engine::ReplayReport report =
-      engine::replayTrace(trace, chosen, mech, opts);
+  const engine::ReplayReport report = engine::replayTrace(
+      trace,
+      spec_.harden ? static_cast<const GovernorFactory&>(hardened) : chosen,
+      mech, opts);
   out.governed = report.result;
   out.governed.mechanism = mech;
   out.agreement = report.agreement;

@@ -14,8 +14,14 @@ void KernelProfile::validate() const {
   if (phase_loops < 1)
     throw DataError("kernel '" + name + "': phase_loops must be >= 1");
   for (const auto& p : phases) {
-    if (std::abs(p.mix.sum() - 1.0) > 1e-6)
-      throw DataError("kernel '" + name + "': instruction mix must sum to 1");
+    // Negated so a NaN share fails too; the simulator converts the
+    // cumulative shares to integers, which needs them finite and >= 0.
+    const InstructionMix& m = p.mix;
+    if (!(std::abs(m.sum() - 1.0) <= 1e-6) ||
+        std::min({m.ialu, m.falu, m.sfu, m.load, m.store, m.shared,
+                  m.branch}) < 0.0)
+      throw DataError("kernel '" + name +
+                      "': instruction mix must be non-negative and sum to 1");
     if (p.l1_hit_rate < 0.0 || p.l1_hit_rate > 1.0 || p.l2_hit_rate < 0.0 ||
         p.l2_hit_rate > 1.0)
       throw DataError("kernel '" + name + "': hit rate out of [0,1]");

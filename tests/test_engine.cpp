@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "baselines/ondemand.hpp"
 #include "baselines/pcstall.hpp"
 #include "common/check.hpp"
+#include "core/hardened_governor.hpp"
 #include "engine/epoch_loop.hpp"
 #include "engine/fork.hpp"
 #include "engine/replay_backend.hpp"
@@ -505,11 +507,10 @@ TEST(Replay, HardenedReplayKeepsRecordedNumbers) {
   const engine::EpochTrace trace = recordTrace("bfs");
   const OndemandFactory other(VfTable::titanX());
   GovernorModeLog log;
-  engine::ReplayOptions opts;
-  opts.harden = true;
-  opts.mode_log = &log;
+  const HardenedGovernorFactory hardened(other, trace.vf, HardenedConfig{},
+                                         &log);
   const engine::ReplayReport rep =
-      engine::replayTrace(trace, other, "ondemand", opts);
+      engine::replayTrace(trace, hardened, "ondemand");
   RunResult expected = trace.recorded;
   expected.workload = trace.workload;
   expected.mechanism = "ondemand";
@@ -601,6 +602,33 @@ std::size_t keyframeBlockOffset(const std::string& bytes,
   for (const auto& kf : trace.keyframes)
     block += 8 + 8 + 4 + kf.gpu_blob.size();  // epoch, checksum, str blob
   return bytes.size() - block;
+}
+
+/// Swaps the encodings of the first two V/f points of the titanX table in
+/// `bytes`, found by their raw bit patterns: the decoded table is then not
+/// ascending, which the VfTable constructor rejects.
+void swapFirstVfPoints(std::string& bytes) {
+  const VfTable vf = VfTable::titanX();
+  const std::string_view first(
+      reinterpret_cast<const char*>(vf.points().data()), sizeof(VfPoint));
+  const std::size_t at = bytes.find(first);
+  ASSERT_NE(at, std::string::npos);
+  const auto point = bytes.begin() + static_cast<std::ptrdiff_t>(at);
+  const auto next = point + static_cast<std::ptrdiff_t>(sizeof(VfPoint));
+  std::swap_ranges(point, next, next);
+}
+
+TEST(TraceIo, SwappedVfPointsAreADataError) {
+  std::string bytes = engine::serializeTrace(recordTrace("spmv"));
+  swapFirstVfPoints(bytes);
+  patchHeader(bytes);
+  EXPECT_THROW(static_cast<void>(engine::deserializeTrace(bytes)), DataError);
+}
+
+TEST(ForkResim, SwappedSnapshotVfPointsAreADataError) {
+  std::string blob = serializeGpu(makeGpu("spmv"));
+  swapFirstVfPoints(blob);
+  EXPECT_THROW(static_cast<void>(deserializeGpu(blob)), DataError);
 }
 
 TEST(TraceV3, KeyframedTraceRoundTripsAsV3) {

@@ -2,8 +2,13 @@
 // dataset augmentation utilities, and the JSON writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/check.hpp"
 #include "common/json_writer.hpp"
 #include "core/power_cap.hpp"
 #include "datagen/augment.hpp"
@@ -219,6 +224,126 @@ TEST(PowerCap, CappedRunReducesMeanPower) {
   EXPECT_LT(capped.mean_power_w, base_power);
   EXPECT_GT(capped.final_preset, 0.0);
   EXPECT_GT(capped.run.exec_time_ns, base.exec_time_ns);  // paid in latency
+}
+
+/// The pre-engine runWithPowerCap loop, transcribed verbatim from
+/// src/core/power_cap.cpp as it stood before the capped run moved onto
+/// engine::EpochLoop. Any divergence in accumulator order, preset timing or
+/// histogram math shows up as a failed exact comparison.
+PowerCapRunResult refRunWithPowerCap(Gpu gpu,
+                                     std::shared_ptr<const SsmModel> model,
+                                     const PowerCapConfig& cap_cfg,
+                                     SsmGovernorConfig governor_cfg = {},
+                                     TimeNs max_time_ns = 5 * kNsPerMs) {
+  PowerCapController controller(cap_cfg);
+  governor_cfg.loss_preset = std::max(controller.preset(), 1e-6);
+
+  const int n = gpu.numClusters();
+  std::vector<std::unique_ptr<SsmdvfsGovernor>> governors;
+  governors.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    governors.push_back(
+        std::make_unique<SsmdvfsGovernor>(model, governor_cfg));
+
+  std::vector<VfLevel> levels(static_cast<std::size_t>(n),
+                              gpu.vfTable().defaultLevel());
+  std::vector<double> level_epochs(gpu.vfTable().size(), 0.0);
+
+  PowerCapRunResult out;
+  out.run.mechanism = "ssmdvfs+powercap";
+  double power_sum = 0.0;
+  int over_cap = 0;
+
+  while (!gpu.allDone() && gpu.nowNs() < max_time_ns) {
+    const GpuEpochReport report = gpu.runEpoch(levels);
+    ++out.run.epochs;
+    power_sum += report.chip_power_w;
+    out.max_power_w = std::max(out.max_power_w, report.chip_power_w);
+    over_cap += report.chip_power_w > cap_cfg.cap_w;
+
+    const double preset =
+        std::max(controller.onEpoch(report.chip_power_w), 1e-6);
+    for (int i = 0; i < n; ++i) {
+      auto& gov = governors[static_cast<std::size_t>(i)];
+      gov->setLossPreset(preset);
+      const auto& obs = report.clusters[static_cast<std::size_t>(i)];
+      level_epochs[static_cast<std::size_t>(obs.level)] += 1.0;
+      levels[static_cast<std::size_t>(i)] =
+          gpu.vfTable().clamp(gov->decide(obs));
+    }
+    if (report.all_done) break;
+  }
+  SSM_CHECK(gpu.allDone(), "capped run did not retire; raise max_time_ns");
+
+  out.run.exec_time_ns = gpu.finishTimeNs();
+  out.run.energy_j = gpu.totalEnergyJ();
+  out.run.edp = gpu.edp();
+  out.run.instructions = gpu.totalInstructions();
+  out.mean_power_w =
+      out.run.epochs > 0 ? power_sum / out.run.epochs : 0.0;
+  out.run.mean_power_w = out.mean_power_w;
+  out.violation_frac =
+      out.run.epochs > 0
+          ? static_cast<double>(over_cap) / out.run.epochs
+          : 0.0;
+  out.final_preset = controller.preset();
+  const double total = static_cast<double>(out.run.epochs) * n;
+  out.run.level_histogram.resize(level_epochs.size());
+  for (std::size_t l = 0; l < level_epochs.size(); ++l)
+    out.run.level_histogram[l] =
+        total > 0 ? level_epochs[l] / total : 0.0;
+  return out;
+}
+
+/// The capped run on EpochLoop reproduces the pre-engine loop bit for bit:
+/// two workloads, each under a tight and a loose cap.
+TEST(PowerCap, EpochLoopMatchesPreEngineReference) {
+  GpuConfig gpu;
+  gpu.num_clusters = 4;
+  GenConfig gen;
+  gen.runs_per_workload = 1;
+  gen.clusters_sampled = 4;
+  gen.epochs_per_breakpoint = 6;
+  const DataGenerator dg(gpu, VfTable::titanX(), gen);
+  Dataset corpus = dg.generateForWorkload(workloadByName("sgemm"), 5, 0);
+  corpus.append(dg.generateForWorkload(workloadByName("spmv"), 5, 1));
+  auto [train, hold] = corpus.split(0.8, 3);
+  SsmModelConfig mcfg;
+  mcfg.train.epochs = 60;
+  auto model = std::make_shared<SsmModel>(mcfg);
+  model->train(train, hold);
+
+  for (const char* workload : {"sgemm", "spmv"}) {
+    const Gpu machine(gpu, VfTable::titanX(), workloadByName(workload), 21,
+                      ChipPowerModel(gpu.num_clusters));
+    const RunResult base = runBaseline(machine);
+    const double base_power = base.energy_j / secondsOf(base.exec_time_ns);
+    for (const double frac : {0.8, 0.95}) {
+      PowerCapConfig cap;
+      cap.cap_w = base_power * frac;
+      cap.ki = 0.004;
+      const PowerCapRunResult want = refRunWithPowerCap(machine, model, cap);
+      const PowerCapRunResult got = runWithPowerCap(machine, model, cap);
+      SCOPED_TRACE(std::string(workload) + " cap fraction " +
+                   std::to_string(frac));
+      EXPECT_GT(want.violation_frac, 0.0);
+      EXPECT_EQ(got.run.workload, want.run.workload);
+      EXPECT_EQ(got.run.mechanism, want.run.mechanism);
+      EXPECT_EQ(got.run.exec_time_ns, want.run.exec_time_ns);
+      EXPECT_EQ(got.run.energy_j, want.run.energy_j);
+      EXPECT_EQ(got.run.edp, want.run.edp);
+      EXPECT_EQ(got.run.instructions, want.run.instructions);
+      EXPECT_EQ(got.run.epochs, want.run.epochs);
+      EXPECT_EQ(got.run.mean_power_w, want.run.mean_power_w);
+      EXPECT_EQ(got.run.level_histogram, want.run.level_histogram);
+      EXPECT_EQ(got.run.peak_temp_c, want.run.peak_temp_c);
+      EXPECT_EQ(got.run.throttle_epochs, want.run.throttle_epochs);
+      EXPECT_EQ(got.mean_power_w, want.mean_power_w);
+      EXPECT_EQ(got.max_power_w, want.max_power_w);
+      EXPECT_EQ(got.violation_frac, want.violation_frac);
+      EXPECT_EQ(got.final_preset, want.final_preset);
+    }
+  }
 }
 
 TEST(PowerCap, RequiresTrainedModel) {

@@ -3,7 +3,10 @@
 // caches (dataset CSV + model fingerprinting).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "compress/pipeline.hpp"
 #include "core/ssm_governor.hpp"
@@ -28,8 +31,13 @@ PipelineConfig tinyPipeline(const std::string& cache_dir) {
 
 class PipelineTest : public ::testing::Test {
  protected:
+  // Each test owns its cache directory, named after the test and the
+  // process, so tests running in parallel never share or delete each
+  // other's artifacts.
   void SetUp() override {
-    dir_ = "ssm_test_pipeline_cache";
+    dir_ = ::testing::TempDir() + "ssm_pipeline_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -273,9 +273,11 @@ int cmdRun(const Args& args) {
   const std::unique_ptr<GovernorFactory> factory =
       fleet::makeGovernorFactory(mech, vf, preset, model);
 
-  // Same derivation as fleet::FleetRunner, so `run --faults` reproduces the
-  // corresponding sweep cell. An absent/empty spec makes no RNG draws and
-  // leaves the output byte-identical to a fault-free build.
+  // The injector seed derives from --seed and fault index 0. This is not a
+  // sweep cell's pattern: a sweep also forks the simulation seed from
+  // (seed, workload index), so its machines run different streams. An
+  // absent/empty spec makes no RNG draws and leaves the output
+  // byte-identical to a fault-free build.
   const faults::FaultSpec fault_spec =
       faults::FaultSpec::parse(args.get("faults"));
   std::unique_ptr<faults::FaultInjector> injector;
@@ -458,8 +460,8 @@ int cmdRecord(const Args& args) {
 
   // --keyframe-every N snapshots the full machine every N epochs into the
   // trace (format v3), enabling closed-loop counterfactual replay. Without
-  // it the run goes through the stock runWithGovernor path and the trace
-  // bytes are exactly what they always were (v1/v2).
+  // it (N = 0) no keyframe is captured and the trace bytes are exactly what
+  // they always were (v1/v2).
   const auto keyframe_every =
       static_cast<std::int64_t>(args.getInt("keyframe-every", 0));
   SSM_CHECK(keyframe_every >= 0, "--keyframe-every must be >= 0");
@@ -467,21 +469,14 @@ int cmdRecord(const Args& args) {
   EpochTraceRecorder recorder;
   recorder.enableReplayCapture();
   std::vector<engine::TraceKeyframe> keyframes;
-  RunResult run;
-  if (keyframe_every > 0) {
-    // The exact LoopConfig runWithGovernor hard-wires, plus keyframe capture.
-    engine::SimBackend backend(std::move(machine));
-    engine::LoopConfig lc;
-    lc.max_time_ns = max_time_ns;
-    lc.trace = &recorder;
-    lc.throttle = throttle ? &*throttle : nullptr;
-    lc.keyframe_every = keyframe_every;
-    lc.keyframes = &keyframes;
-    run = engine::EpochLoop(lc).run(backend, backend, *factory, mech);
-  } else {
-    run = runWithGovernor(machine, *factory, mech, max_time_ns, &recorder,
-                          nullptr, throttle ? &*throttle : nullptr);
-  }
+  engine::SimBackend backend(std::move(machine));
+  engine::LoopConfig lc;
+  lc.max_time_ns = max_time_ns;
+  lc.trace = &recorder;
+  lc.throttle = throttle ? &*throttle : nullptr;
+  lc.keyframe_every = keyframe_every;
+  lc.keyframes = &keyframes;
+  RunResult run = engine::EpochLoop(lc).run(backend, backend, *factory, mech);
   run.workload = kernel.name;
 
   engine::EpochTrace trace = engine::traceFromRecorder(
@@ -514,16 +509,18 @@ int cmdReplay(const Args& args) {
   const auto factory =
       recordReplayFactory(mech, trace.vf, preset, modelFor(args, mech));
 
+  const bool harden = args.has("harden");
   GovernorModeLog mode_log;
+  const HardenedGovernorFactory hardened(*factory, trace.vf, HardenedConfig{},
+                                         &mode_log);
   engine::ReplayOptions opts;
-  opts.harden = args.has("harden");
-  opts.mode_log = opts.harden ? &mode_log : nullptr;
   opts.counterfactual = args.has("counterfactual");
   if (args.has("max-extra-epochs"))
     opts.max_extra_epochs =
         static_cast<std::int64_t>(args.getInt("max-extra-epochs", 64));
-  const engine::ReplayReport rep =
-      engine::replayTrace(trace, *factory, mech, opts);
+  const engine::ReplayReport rep = engine::replayTrace(
+      trace, harden ? static_cast<const GovernorFactory&>(hardened) : *factory,
+      mech, opts);
 
   std::printf("trace %s: format v%u, payload %llu bytes, checksum %016llx\n",
               path.c_str(), info.version,
@@ -546,7 +543,7 @@ int cmdReplay(const Args& args) {
     std::printf(" %zu:%lld", l,
                 static_cast<long long>(rep.commanded_histogram[l]));
   std::printf("\n");
-  if (opts.harden)
+  if (harden)
     std::printf("hardened governor: %d fallbacks, %d recoveries\n",
                 mode_log.fallbacks(), mode_log.recoveries());
   if (opts.counterfactual) {
@@ -785,6 +782,21 @@ std::vector<std::shared_ptr<const engine::EpochTrace>> resolveReplayTraces(
   return traces;
 }
 
+/// Splits a '|'-separated list (the separator for grammars that use ','
+/// and ';' internally, like --faults, --thermal and --traffic). Empty
+/// segments drop.
+std::vector<std::string> splitBarList(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= s.size()) {
+    std::size_t bar = s.find('|', start);
+    if (bar == std::string::npos) bar = s.size();
+    if (bar > start) out.push_back(s.substr(start, bar - start));
+    start = bar + 1;
+  }
+  return out;
+}
+
 int cmdSweep(const Args& args) {
   fleet::SweepSpec spec;
   if (args.has("replay")) {
@@ -819,34 +831,17 @@ int cmdSweep(const Args& args) {
           static_cast<std::uint64_t>(std::atoll(s.c_str())));
   }
   if (args.has("faults")) {
-    // '|' separates scenarios because the spec grammar itself uses ',' and
-    // ';'. "none" (or an empty segment-free string) is the clean cell.
+    // "none" is the clean cell.
     std::vector<faults::FaultSpec> cells;
-    const std::string list = args.get("faults");
-    std::size_t start = 0;
-    while (start <= list.size()) {
-      std::size_t bar = list.find('|', start);
-      if (bar == std::string::npos) bar = list.size();
-      if (bar > start)
-        cells.push_back(faults::FaultSpec::parse(list.substr(start, bar - start)));
-      start = bar + 1;
-    }
+    for (const auto& f : splitBarList(args.get("faults")))
+      cells.push_back(faults::FaultSpec::parse(f));
     if (!cells.empty()) spec.faults = std::move(cells);
   }
   if (args.has("thermal")) {
-    // Same '|' separation as --faults; the literal "none" is the cell
-    // without thermal physics.
+    // The literal "none" is the cell without thermal physics.
     std::vector<thermal::ThermalScenario> cells;
-    const std::string list = args.get("thermal");
-    std::size_t start = 0;
-    while (start <= list.size()) {
-      std::size_t bar = list.find('|', start);
-      if (bar == std::string::npos) bar = list.size();
-      if (bar > start)
-        cells.push_back(
-            thermal::ThermalScenario::parse(list.substr(start, bar - start)));
-      start = bar + 1;
-    }
+    for (const auto& t : splitBarList(args.get("thermal")))
+      cells.push_back(thermal::ThermalScenario::parse(t));
     if (!cells.empty()) spec.thermal = std::move(cells);
   }
   spec.harden = args.has("harden");
@@ -891,20 +886,6 @@ int cmdSweep(const Args& args) {
     std::printf("wrote %zu results to %s\n", lines, out.c_str());
   }
   return lines > 0 ? 0 : 1;
-}
-
-/// Splits a '|'-separated list (the separator for grammars that use ','
-/// and ';' internally, like --faults and --traffic). Empty segments drop.
-std::vector<std::string> splitBarList(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t bar = s.find('|', start);
-    if (bar == std::string::npos) bar = s.size();
-    if (bar > start) out.push_back(s.substr(start, bar - start));
-    start = bar + 1;
-  }
-  return out;
 }
 
 int cmdDc(const Args& args) {
