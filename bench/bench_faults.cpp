@@ -15,9 +15,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/hardened_governor.hpp"
 #include "datagen/cache.hpp"
-#include "faults/fault_injector.hpp"
 #include "sched/fleet.hpp"
 
 using namespace ssm;
@@ -53,16 +51,22 @@ struct CellStats {
 int main() {
   std::cout << "=== E11: resilience under injected faults ===\n\n";
   const FullSystem sys = buildSharedSystem();
-  const GpuConfig gpu;
-  const VfTable vf = VfTable::titanX();
   constexpr double kPreset = 0.10;
   constexpr std::uint64_t kSeed = 777;
-  constexpr TimeNs kHorizon = 2 * kNsPerMs;
 
-  // A small fixed evaluation subset keeps the matrix affordable.
-  std::vector<KernelProfile> kernels;
+  // Every matrix cell is a live sweep cell (fleet::runCell) over a small
+  // fixed evaluation subset; each kernel runs the same simulator seed.
+  fleet::SweepSpec spec;
   for (const auto& name : {"spmv", "bfs", "hotspot"})
-    kernels.push_back(workloadByName(name));
+    spec.workloads.push_back(workloadByName(name));
+  spec.presets = {kPreset};
+  spec.faults.clear();
+  for (const Scenario& s : kScenarios)
+    spec.faults.push_back(faults::FaultSpec::parse(s.spec));
+  spec.max_time_ns = 2 * kNsPerMs;
+  spec.model = sys.uncompressed;
+  const std::uint64_t sim_seed = Rng(kSeed).fork(0).nextU64();
+  const auto kernels = static_cast<double>(spec.workloads.size());
 
   const std::vector<std::string> mechanisms = {"ssmdvfs", "ssmdvfs+harden",
                                                "pcstall", "flemma"};
@@ -72,47 +76,27 @@ int main() {
       mechanisms.size(), std::vector<CellStats>(std::size(kScenarios)));
 
   for (std::size_t mi = 0; mi < mechanisms.size(); ++mi) {
-    const bool harden = mechanisms[mi] == "ssmdvfs+harden";
-    const std::string base_mech = harden ? "ssmdvfs" : mechanisms[mi];
-    const auto factory =
-        fleet::makeGovernorFactory(base_mech, vf, kPreset, sys.uncompressed);
-
+    spec.harden = mechanisms[mi] == "ssmdvfs+harden";
+    spec.mechanisms = {spec.harden ? "ssmdvfs" : mechanisms[mi]};
     for (std::size_t si = 0; si < std::size(kScenarios); ++si) {
-      const faults::FaultSpec spec =
-          faults::FaultSpec::parse(kScenarios[si].spec);
       CellStats& cell = stats[mi][si];
-      for (const auto& kernel : kernels) {
-        const std::uint64_t sim_seed = Rng(kSeed).fork(0).nextU64();
-        const Gpu machine(gpu, vf, kernel, sim_seed,
-                          ChipPowerModel(gpu.num_clusters));
-        const RunResult base = runBaseline(machine, kHorizon);
-
-        std::unique_ptr<faults::FaultInjector> injector;
-        if (spec.active())
-          injector = std::make_unique<faults::FaultInjector>(
-              spec, faults::injectorSeed(sim_seed, si));
-
-        GovernorModeLog log;
-        RunResult run;
-        if (harden) {
-          const HardenedGovernorFactory hardened(*factory, vf,
-                                                 HardenedConfig{}, &log);
-          run = runWithGovernor(machine, hardened, base_mech, kHorizon,
-                                nullptr, injector.get());
-        } else {
-          run = runWithGovernor(machine, *factory, base_mech, kHorizon,
-                                nullptr, injector.get());
-        }
-        const double lat = static_cast<double>(run.exec_time_ns) /
-                           static_cast<double>(base.exec_time_ns);
+      for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+        fleet::SweepJob job;
+        job.workload = wi;
+        job.fault = si;
+        job.sim_seed = sim_seed;
+        const fleet::SweepResult r = fleet::runCell(spec, job);
+        const double lat = static_cast<double>(r.governed.exec_time_ns) /
+                           static_cast<double>(r.baseline.exec_time_ns);
         cell.mean_lat += lat;
         cell.max_lat = std::max(cell.max_lat, lat);
-        cell.mean_edp += base.edp > 0.0 ? run.edp / base.edp : 1.0;
-        cell.fallbacks += log.fallbacks();
-        cell.recoveries += log.recoveries();
+        cell.mean_edp +=
+            r.baseline.edp > 0.0 ? r.governed.edp / r.baseline.edp : 1.0;
+        cell.fallbacks += r.fallbacks;
+        cell.recoveries += r.recoveries;
       }
-      cell.mean_lat /= static_cast<double>(kernels.size());
-      cell.mean_edp /= static_cast<double>(kernels.size());
+      cell.mean_lat /= kernels;
+      cell.mean_edp /= kernels;
     }
   }
 

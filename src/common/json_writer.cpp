@@ -148,6 +148,12 @@ JsonWriter& JsonWriter::value(const std::string& k, std::int64_t v) {
   return *this;
 }
 
+JsonWriter& JsonWriter::value(const std::string& k, std::uint64_t v) {
+  key(k);
+  os_ << v;
+  return *this;
+}
+
 JsonWriter& JsonWriter::value(const std::string& k, int v) {
   return value(k, static_cast<std::int64_t>(v));
 }

@@ -6,6 +6,7 @@
 // begin/end calls throw instead of emitting invalid JSON.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@ class JsonWriter {
   JsonWriter& value(const std::string& key, const char* v);
   JsonWriter& value(const std::string& key, double v);
   JsonWriter& value(const std::string& key, std::int64_t v);
+  JsonWriter& value(const std::string& key, std::uint64_t v);
   JsonWriter& value(const std::string& key, int v);
   JsonWriter& value(const std::string& key, bool v);
   JsonWriter& value(const std::string& v);  ///< string element in an array

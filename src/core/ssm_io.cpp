@@ -3,10 +3,12 @@
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 
 namespace ssm {
@@ -21,13 +23,32 @@ void writeVec(std::ostream& os, std::span<const double> v) {
   os << '\n';
 }
 
-std::vector<double> readVec(std::istream& is) {
+/// Reads a length-prefixed vector into `dst`, whose size the model already
+/// fixes: a mismatched length is rejected before any element is read.
+void readInto(std::istream& is, std::span<double> dst, const char* what) {
   std::size_t n = 0;
   if (!(is >> n)) throw DataError("model stream: expected vector length");
-  std::vector<double> v(n);
-  for (auto& x : v)
+  if (n != dst.size())
+    throw DataError(std::string("model stream: ") + what + " size mismatch");
+  for (auto& x : dst)
     if (!(is >> x)) throw DataError("model stream: truncated vector");
-  return v;
+}
+
+/// Rejects net widths the text left cannot hold before the model allocates
+/// them: a layer stores weights, bias and mask, (2·in + 1)·out numbers, and
+/// every number takes at least two characters.
+void checkNet(std::int64_t in, const std::vector<int>& hidden,
+              std::int64_t output, std::size_t& numbers_left) {
+  for (std::size_t l = 0; l <= hidden.size(); ++l) {
+    const std::int64_t out = l < hidden.size() ? hidden[l] : output;
+    const std::size_t fit =
+        out < 1 ? 0 : numbers_left / static_cast<std::size_t>(out);
+    if (in < 1 || in > std::numeric_limits<int>::max() || fit == 0 ||
+        static_cast<std::size_t>(in) > (fit - 1) / 2)
+      throw DataError("model stream: layer widths out of range");
+    numbers_left -= static_cast<std::size_t>((2 * in + 1) * out);
+    in = out;
+  }
 }
 
 void writeNet(std::ostream& os, const Mlp& net) {
@@ -51,16 +72,10 @@ void readNetInto(std::istream& is, Mlp& net) {
     if (!(is >> in >> out) || in != net.layer(l).inDim() ||
         out != net.layer(l).outDim())
       throw DataError("model stream: layer shape mismatch");
-    const auto w = readVec(is);
-    const auto b = readVec(is);
-    const auto m = readVec(is);
     DenseLayer& layer = net.layer(l);
-    if (w.size() != layer.weights().size() || b.size() != layer.bias().size() ||
-        m.size() != layer.mask().size())
-      throw DataError("model stream: parameter size mismatch");
-    std::copy(w.begin(), w.end(), layer.weights().flat().begin());
-    std::copy(b.begin(), b.end(), layer.bias().begin());
-    std::copy(m.begin(), m.end(), layer.mask().flat().begin());
+    readInto(is, layer.weights().flat(), "weight");
+    readInto(is, layer.bias(), "bias");
+    readInto(is, layer.mask().flat(), "mask");
   }
   net.applyMasks();
 }
@@ -99,7 +114,22 @@ void serializeModel(const SsmModel& model, std::ostream& os) {
   writeNet(os, model.calibrator_);
 }
 
-SsmModel deserializeModel(std::istream& is) {
+SsmModel deserializeModel(std::istream& in) {
+  // Read whole, so every declared size is bounded by the text left before
+  // anything is allocated for it.
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  std::istringstream is(text);
+  const auto numbers_left = [&]() -> std::size_t {
+    const std::streamoff at = is.tellg();
+    return at < 0 ? 0 : (text.size() - static_cast<std::size_t>(at) + 1) / 2;
+  };
+  const auto count = [&](const char* what) {
+    std::size_t n = 0;
+    if (!(is >> n) || n > numbers_left())
+      throw DataError(std::string("model stream: bad ") + what + " count");
+    return n;
+  };
+
   std::string token;
   if (!(is >> token) || token != kMagic)
     throw DataError("not an ssmdvfs model stream");
@@ -111,8 +141,7 @@ SsmModel deserializeModel(std::istream& is) {
   };
 
   expect("features");
-  std::size_t nf = 0;
-  is >> nf;
+  const std::size_t nf = count("feature");
   cfg.features.clear();
   for (std::size_t i = 0; i < nf; ++i) {
     int id = 0;
@@ -130,30 +159,34 @@ SsmModel deserializeModel(std::istream& is) {
   is >> cfg.init_seed;
   expect("train");
   is >> cfg.train.epochs >> cfg.train.learning_rate;
-  expect("decision_hidden");
-  std::size_t nd = 0;
-  is >> nd;
-  cfg.decision_hidden.assign(nd, 0);
-  for (auto& h : cfg.decision_hidden) is >> h;
-  expect("calibrator_hidden");
-  std::size_t nc = 0;
-  is >> nc;
-  cfg.calibrator_hidden.assign(nc, 0);
-  for (auto& h : cfg.calibrator_hidden) is >> h;
+  const auto hidden = [&](const char* name, std::vector<int>& widths) {
+    expect(name);
+    widths.assign(count(name), 0);
+    for (auto& h : widths) is >> h;
+  };
+  hidden("decision_hidden", cfg.decision_hidden);
+  hidden("calibrator_hidden", cfg.calibrator_hidden);
   if (!is) throw DataError("model stream: malformed header");
 
-  SsmModel model(cfg);
+  // Both nets' widths, as the SsmModel constructor will lay them out.
+  const auto input = static_cast<std::int64_t>(nf) + 1;
+  std::size_t budget = numbers_left();
+  checkNet(input, cfg.decision_hidden, cfg.num_levels, budget);
+  checkNet(input + cfg.num_levels, cfg.calibrator_hidden, 1, budget);
+
+  SsmModel model =
+      constructDecoded("model stream", [&] { return SsmModel(cfg); });
   expect("standardizer");
-  model.standardizer_.mean = readVec(is);
-  model.standardizer_.inv_std = readVec(is);
-  if (model.standardizer_.mean.size() != cfg.features.size() + 1)
-    throw DataError("model stream: standardizer width mismatch");
+  model.standardizer_.mean.assign(nf + 1, 0.0);
+  model.standardizer_.inv_std.assign(nf + 1, 0.0);
+  readInto(is, model.standardizer_.mean, "standardizer");
+  readInto(is, model.standardizer_.inv_std, "standardizer");
   expect("decision");
   readNetInto(is, model.decision_);
   expect("calibrator");
   readNetInto(is, model.calibrator_);
   model.trained_ = true;
-  model.recompilePacked();
+  constructDecoded("model stream", [&] { model.recompilePacked(); });
   return model;
 }
 

@@ -1,8 +1,10 @@
 #include "dc/dc_sweep.hpp"
 
+#include <concepts>
 #include <ostream>
 #include <span>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/json_writer.hpp"
@@ -12,17 +14,6 @@ namespace ssm::dc {
 
 namespace {
 
-/// The fault columns appear only when the template actually degrades
-/// chips — clean sweeps keep the lean schema (the fleet.cpp rule).
-bool faultsActive(const DcSweepSpec& spec) {
-  return spec.base.fault.active() && !spec.base.degraded.empty();
-}
-
-/// Thermal columns appear only when the template enables the scenario.
-bool thermalActive(const DcSweepSpec& spec) {
-  return spec.base.thermal.enabled;
-}
-
 // Every axis falls back to the base's value when left empty, so a spec
 // with no axes set runs the base rack exactly once and a forgotten axis
 // can never silently replace a configured base field with a default.
@@ -31,6 +22,86 @@ std::span<const T> axis(const std::vector<T>& values, const T& base) {
   return values.empty() ? std::span<const T>(&base, 1)
                         : std::span<const T>(values);
 }
+
+/// A spec-grammar value (traffic, faults, thermal): JSON writes its
+/// canonical print() as a string; CSV always quotes it, since the grammars
+/// contain ',' and ';' (print() never emits a quote character).
+template <class T>
+concept Grammar = requires(const T& g) {
+  { g.print() } -> std::convertible_to<std::string>;
+};
+
+/// The dc row's columns in output order: the one field list JSONL and CSV
+/// both visit, so the two formats cannot drift. Fault columns appear only
+/// when the rack degrades chips, thermal columns only when its scenario is
+/// enabled, so clean sweeps keep the lean schema.
+template <class Row>
+void fields(Row& row, const RackSpec& cell, const RackResult& rack) {
+  row("traffic", cell.traffic);
+  row("policy", policyName(cell.policy));
+  row("rack_cap_w", cell.power.rack_cap_w);
+  row("mechanism", cell.mechanism);
+  row("seed", cell.seed);
+  row("gpus", rack.gpus);
+  row("jobs", rack.jobs.size());
+  row("completed", rack.completed);
+  row("unfinished", rack.unfinished);
+  row("deadline_miss_rate", rack.deadline_miss_rate);
+  row("energy_per_job_mj", rack.energy_per_job_j * 1e3);
+  row("mean_rack_power_w", rack.mean_rack_power_w);
+  row("max_rack_power_w", rack.max_rack_power_w);
+  row("cap_violation_frac", rack.cap_violation_frac);
+  row("steady_violation_frac", rack.steady_violation_frac);
+  row("p50_latency_us", static_cast<double>(rack.p50_latency_ns) / 1e3);
+  row("p99_latency_us", static_cast<double>(rack.p99_latency_ns) / 1e3);
+  row("makespan_ms", static_cast<double>(rack.makespan_ns) / 1e6);
+  row("rounds", rack.rounds);
+  row("busy_gpu_epochs", rack.busy_gpu_epochs);
+  if (cell.fault.active() && !cell.degraded.empty()) {
+    row("faults", cell.fault);
+    row("degraded_gpus", cell.degraded.size());
+    row("injected_faults", rack.fault_counts.total());
+  }
+  if (cell.thermal.enabled) {
+    row("thermal", cell.thermal);
+    row("peak_temp_c", rack.peak_temp_c);
+    row("throttle_epochs", rack.throttle_epochs);
+  }
+}
+
+/// One JSONL object's members: integers widen to 64 bits, grammars print.
+struct JsonRow {
+  JsonWriter& w;
+  template <class T>
+  void operator()(const char* key, const T& v) {
+    if constexpr (Grammar<T>)
+      w.value(key, v.print());
+    else if constexpr (std::is_unsigned_v<T>)
+      w.value(key, static_cast<std::uint64_t>(v));
+    else if constexpr (std::is_integral_v<T>)
+      w.value(key, static_cast<std::int64_t>(v));
+    else
+      w.value(key, v);
+  }
+};
+
+/// One CSV line: the header (keys) or a row (values at %.17g precision).
+struct CsvRow {
+  explicit CsvRow(bool is_header) : header(is_header) { line.precision(17); }
+  template <class T>
+  void operator()(const char* key, const T& v) {
+    if (line.tellp() > 0) line << ',';
+    if (header)
+      line << key;
+    else if constexpr (Grammar<T>)
+      line << '"' << v.print() << '"';
+    else
+      line << v;
+  }
+  bool header;
+  std::ostringstream line;
+};
+
 }  // namespace
 
 std::vector<DcSweepJob> expandDcJobs(const DcSweepSpec& spec) {
@@ -109,93 +180,24 @@ std::size_t DcSweepRunner::runJsonl(std::ostream& os) const {
 }
 
 std::string toJsonLine(const DcSweepSpec& spec, const DcSweepResult& r) {
-  const RackResult& rack = r.rack;
-  const RackSpec cell = cellSpec(spec, r.job);
   std::ostringstream ss;
   JsonWriter w(ss);
-  w.beginObject()
-      .value("traffic", cell.traffic.print())
-      .value("policy", policyName(cell.policy))
-      .value("rack_cap_w", cell.power.rack_cap_w)
-      .value("mechanism", cell.mechanism)
-      .value("seed", static_cast<std::int64_t>(cell.seed))
-      .value("gpus", rack.gpus)
-      .value("jobs", static_cast<std::int64_t>(rack.jobs.size()))
-      .value("completed", rack.completed)
-      .value("unfinished", rack.unfinished)
-      .value("deadline_miss_rate", rack.deadline_miss_rate)
-      .value("energy_per_job_mj", rack.energy_per_job_j * 1e3)
-      .value("mean_rack_power_w", rack.mean_rack_power_w)
-      .value("max_rack_power_w", rack.max_rack_power_w)
-      .value("cap_violation_frac", rack.cap_violation_frac)
-      .value("steady_violation_frac", rack.steady_violation_frac)
-      .value("p50_latency_us",
-             static_cast<double>(rack.p50_latency_ns) / 1e3)
-      .value("p99_latency_us",
-             static_cast<double>(rack.p99_latency_ns) / 1e3)
-      .value("makespan_ms",
-             static_cast<double>(rack.makespan_ns) / 1e6)
-      .value("rounds", rack.rounds)
-      .value("busy_gpu_epochs",
-             static_cast<std::int64_t>(rack.busy_gpu_epochs));
-  if (faultsActive(spec)) {
-    w.value("faults", spec.base.fault.print())
-        .value("degraded_gpus",
-               static_cast<std::int64_t>(spec.base.degraded.size()))
-        .value("injected_faults", rack.fault_counts.total());
-  }
-  if (thermalActive(spec)) {
-    w.value("thermal", spec.base.thermal.print())
-        .value("peak_temp_c", rack.peak_temp_c)
-        .value("throttle_epochs", rack.throttle_epochs);
-  }
+  JsonRow row{w};
+  w.beginObject();
+  fields(row, cellSpec(spec, r.job), r.rack);
   w.endObject();
   return std::move(ss).str();
 }
 
 void writeCsv(const DcSweepSpec& spec,
               const std::vector<DcSweepResult>& results, std::ostream& os) {
-  const bool with_faults = faultsActive(spec);
-  const bool with_thermal = thermalActive(spec);
-  os << "traffic,policy,rack_cap_w,mechanism,seed,gpus,jobs,completed,"
-        "unfinished,deadline_miss_rate,energy_per_job_mj,mean_rack_power_w,"
-        "max_rack_power_w,cap_violation_frac,steady_violation_frac,"
-        "p50_latency_us,p99_latency_us,makespan_ms,rounds,busy_gpu_epochs";
-  if (with_faults) os << ",faults,degraded_gpus,injected_faults";
-  if (with_thermal) os << ",thermal,peak_temp_c,throttle_epochs";
-  os << '\n';
-  std::ostringstream num;
-  num.precision(17);
+  CsvRow header(true);
+  fields(header, spec.base, RackResult{});
+  os << header.line.str() << '\n';
   for (const auto& r : results) {
-    const RackResult& rack = r.rack;
-    const RackSpec cell = cellSpec(spec, r.job);
-    num.str({});
-    num << cell.power.rack_cap_w << ',' << cell.mechanism << ','
-        << cell.seed << ',' << rack.gpus << ','
-        << rack.jobs.size() << ',' << rack.completed << ','
-        << rack.unfinished << ',' << rack.deadline_miss_rate << ','
-        << rack.energy_per_job_j * 1e3 << ',' << rack.mean_rack_power_w
-        << ',' << rack.max_rack_power_w << ',' << rack.cap_violation_frac
-        << ',' << rack.steady_violation_frac << ','
-        << static_cast<double>(rack.p50_latency_ns) / 1e3 << ','
-        << static_cast<double>(rack.p99_latency_ns) / 1e3 << ','
-        << static_cast<double>(rack.makespan_ns) / 1e6 << ','
-        << rack.rounds << ',' << rack.busy_gpu_epochs;
-    if (with_faults) {
-      // The spec's canonical form contains ','; quote it per CSV rules
-      // (print() never emits a quote character).
-      num << ",\"" << spec.base.fault.print() << "\","
-          << spec.base.degraded.size() << ','
-          << rack.fault_counts.total();
-    }
-    if (with_thermal) {
-      // The scenario's canonical form may contain ','; quote like faults.
-      num << ",\"" << spec.base.thermal.print() << "\","
-          << rack.peak_temp_c << ',' << rack.throttle_epochs;
-    }
-    // The traffic grammar also contains ';' and '='; quote it too.
-    os << '"' << cell.traffic.print() << "\"," << policyName(cell.policy)
-       << ',' << num.str() << '\n';
+    CsvRow row(false);
+    fields(row, cellSpec(spec, r.job), r.rack);
+    os << row.line.str() << '\n';
   }
 }
 

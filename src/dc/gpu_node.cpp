@@ -28,8 +28,10 @@ GpuNode::GpuNode(const Init& init)
       cap_(init.cap),
       preset_max_(init.cap.preset_max),
       thermal_(init.thermal) {
-  SSM_CHECK(gpu_cfg_ != nullptr && vf_ != nullptr && mix_ != nullptr,
-            "GpuNode needs gpu config, vf table and a workload mix");
+  SSM_CHECK(gpu_cfg_ != nullptr && vf_ != nullptr && mix_ != nullptr &&
+                factory_ != nullptr,
+            "GpuNode needs gpu config, vf table, workload mix and a governor "
+            "factory");
   SSM_CHECK(!mix_->empty(), "GpuNode mix must be non-empty");
   SSM_CHECK(idle_power_w_ >= 0.0, "idle power must be non-negative");
   fault_active_ = fault_ != nullptr && fault_->active();
@@ -55,10 +57,7 @@ GpuNode::GpuNode(const Init& init)
   presetable_.reserve(static_cast<std::size_t>(n));
   levels_.assign(static_cast<std::size_t>(n), vf_->defaultLevel());
   for (int i = 0; i < n; ++i) {
-    std::unique_ptr<DvfsGovernor> gov =
-        factory_ != nullptr
-            ? factory_->create(i)
-            : std::make_unique<StaticGovernor>(vf_->defaultLevel());
+    std::unique_ptr<DvfsGovernor> gov = factory_->create(i);
     presetable_.push_back(dynamic_cast<SsmdvfsGovernor*>(gov.get()));
     governors_.push_back(std::move(gov));
   }

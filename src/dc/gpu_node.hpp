@@ -65,7 +65,8 @@ class GpuNode {
     const GpuConfig* gpu = nullptr;
     const VfTable* vf = nullptr;
     const std::vector<KernelProfile>* mix = nullptr;
-    /// nullptr runs the static-default baseline on every cluster.
+    /// Required; "baseline" racks pass fleet::makeGovernorFactory's
+    /// static-default factory.
     const GovernorFactory* factory = nullptr;
     PowerCapConfig cap;
     double idle_power_w = 45.0;

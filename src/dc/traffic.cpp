@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace ssm::dc {
@@ -16,53 +15,25 @@ namespace {
 constexpr std::uint64_t kArrivalSalt = 0xDC00;
 constexpr std::uint64_t kShapeSalt = 0xDC01;
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t at = s.find(sep, start);
-    if (at == std::string_view::npos) at = s.size();
-    if (at > start) out.push_back(s.substr(start, at - start));
-    start = at + 1;
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
-
 [[noreturn]] void specError(const std::string& what) {
   throw DataError("bad --traffic spec: " + what);
 }
 
 double parseDouble(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not a number");
-  return d;
+  const auto d = parseNumber<double>(value);
+  if (!d)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not a finite number");
+  return *d;
 }
 
-std::int64_t parseInt(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const std::int64_t i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not an integer");
-  return i;
-}
-
-/// %.17g: shortest form that survives a strtod round trip for doubles.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// Range-checked before narrowing: an int field never wraps.
+int parseInt(std::string_view key, std::string_view value) {
+  const auto i = parseNumber<int>(value);
+  if (!i)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not an integer in int range");
+  return *i;
 }
 
 const char* shapeName(TrafficSpec::Shape s) {
@@ -114,31 +85,31 @@ void TrafficSpec::validate() const {
   if (jobs < 1 || jobs > 1'000'000)
     specError("jobs must be in [1, 1e6], got " + std::to_string(jobs));
   if (!(rate_per_ms > 0.0))
-    specError("rate must be > 0, got " + num(rate_per_ms));
+    specError("rate must be > 0, got " + printDouble(rate_per_ms));
   if (!(slack >= 1.0))
-    specError("slack must be >= 1, got " + num(slack));
+    specError("slack must be >= 1, got " + printDouble(slack));
   if (!(burst >= 1.0))
-    specError("burst must be >= 1, got " + num(burst));
+    specError("burst must be >= 1, got " + printDouble(burst));
   if (!(duty > 0.0) || !(duty < 1.0))
-    specError("duty must be in (0,1), got " + num(duty));
+    specError("duty must be in (0,1), got " + printDouble(duty));
   if (!(period_ms > 0.0))
-    specError("period must be > 0, got " + num(period_ms));
+    specError("period must be > 0, got " + printDouble(period_ms));
   if (priorities < 1 || priorities > 16)
     specError("prio must be in [1,16], got " + std::to_string(priorities));
 }
 
 TrafficSpec TrafficSpec::parse(std::string_view text) {
   TrafficSpec spec;
-  text = trim(text);
+  text = trimBlanks(text);
   if (text.empty()) return spec;
-  for (std::string_view raw : split(text, ';')) {
-    const std::string_view kv = trim(raw);
+  for (std::string_view raw : splitNonEmpty(text, ';')) {
+    const std::string_view kv = trimBlanks(raw);
     if (kv.empty()) continue;
     const std::size_t eq = kv.find('=');
     if (eq == std::string_view::npos || eq == 0 || eq + 1 >= kv.size())
       specError("expected key=value pairs, got '" + std::string(kv) + "'");
-    const std::string_view key = trim(kv.substr(0, eq));
-    const std::string_view value = trim(kv.substr(eq + 1));
+    const std::string_view key = trimBlanks(kv.substr(0, eq));
+    const std::string_view value = trimBlanks(kv.substr(eq + 1));
     if (key == "shape") {
       if (value == "steady") spec.shape = Shape::kSteady;
       else if (value == "bursty") spec.shape = Shape::kBursty;
@@ -148,7 +119,7 @@ TrafficSpec TrafficSpec::parse(std::string_view text) {
         specError("shape must be steady|bursty|diurnal|adversarial, got '" +
                   std::string(value) + "'");
     } else if (key == "jobs") {
-      spec.jobs = static_cast<int>(parseInt(key, value));
+      spec.jobs = parseInt(key, value);
     } else if (key == "rate") {
       spec.rate_per_ms = parseDouble(key, value);
     } else if (key == "slack") {
@@ -160,7 +131,7 @@ TrafficSpec TrafficSpec::parse(std::string_view text) {
     } else if (key == "period") {
       spec.period_ms = parseDouble(key, value);
     } else if (key == "prio") {
-      spec.priorities = static_cast<int>(parseInt(key, value));
+      spec.priorities = parseInt(key, value);
     } else {
       specError("unknown key '" + std::string(key) +
                 "' (expected shape|jobs|rate|slack|burst|duty|period|prio)");
@@ -173,12 +144,12 @@ TrafficSpec TrafficSpec::parse(std::string_view text) {
 std::string TrafficSpec::print() const {
   std::string out = std::string("shape=") + shapeName(shape);
   out += ";jobs=" + std::to_string(jobs);
-  out += ";rate=" + num(rate_per_ms);
-  out += ";slack=" + num(slack);
+  out += ";rate=" + printDouble(rate_per_ms);
+  out += ";slack=" + printDouble(slack);
   if (shape == Shape::kBursty || shape == Shape::kAdversarial)
-    out += ";burst=" + num(burst);
-  if (shape == Shape::kBursty) out += ";duty=" + num(duty);
-  if (shape != Shape::kSteady) out += ";period=" + num(period_ms);
+    out += ";burst=" + printDouble(burst);
+  if (shape == Shape::kBursty) out += ";duty=" + printDouble(duty);
+  if (shape != Shape::kSteady) out += ";period=" + printDouble(period_ms);
   out += ";prio=" + std::to_string(priorities);
   return out;
 }

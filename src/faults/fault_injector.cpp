@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json_writer.hpp"
+
 namespace ssm::faults {
 
 namespace {
@@ -34,6 +36,21 @@ void zeroPayload(EpochObservation& obs) {
 }
 
 }  // namespace
+
+void FaultCounts::writeJson(JsonWriter& w) const {
+  w.beginObject("fault_counts")
+      .value("noise", noise)
+      .value("dropout", dropout)
+      .value("delay", delay)
+      .value("failed", failed)
+      .value("stuck", stuck)
+      .value("jitter", jitter)
+      .value("heatsoak", heatsoak)
+      .value("tsensor", tsensor)
+      .value("tjolt", tjolt)
+      .value("total", total())
+      .endObject();
+}
 
 FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
     : spec_(spec), root_(seed) {

@@ -19,6 +19,10 @@
 #include "gpusim/fault_hook.hpp"
 #include "gpusim/gpu.hpp"
 
+namespace ssm {
+class JsonWriter;
+}  // namespace ssm
+
 namespace ssm::faults {
 
 /// How many cluster-epoch events each fault class actually injected
@@ -38,6 +42,8 @@ struct FaultCounts {
     return noise + dropout + delay + failed + stuck + jitter + heatsoak +
            tsensor + tjolt;
   }
+  /// The "fault_counts" object of `run --json` and sweep JSONL rows.
+  void writeJson(JsonWriter& w) const;
   FaultCounts& operator+=(const FaultCounts& o) noexcept {
     noise += o.noise;
     dropout += o.dropout;

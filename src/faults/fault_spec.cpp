@@ -1,35 +1,11 @@
 #include "faults/fault_spec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
-
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace ssm::faults {
 
 namespace {
-
-/// Splits `s` on `sep`; empty tokens are dropped.
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t at = s.find(sep, start);
-    if (at == std::string_view::npos) at = s.size();
-    if (at > start) out.push_back(s.substr(start, at - start));
-    start = at + 1;
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
 
 [[noreturn]] void specError(const std::string& what) {
   throw DataError("bad --faults spec: " + what);
@@ -37,24 +13,20 @@ std::string_view trim(std::string_view s) {
 
 double parseDouble(std::string_view clause, std::string_view key,
                    std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(clause) + "." + std::string(key) + "='" + v +
-         "' is not a number");
-  return d;
+  const auto d = parseNumber<double>(value);
+  if (!d)
+    specError(std::string(clause) + "." + std::string(key) + "='" +
+              std::string(value) + "' is not a finite number");
+  return *d;
 }
 
 std::int64_t parseInt(std::string_view clause, std::string_view key,
                       std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const std::int64_t i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(clause) + "." + std::string(key) + "='" + v +
-         "' is not an integer");
-  return i;
+  const auto i = parseNumber<std::int64_t>(value);
+  if (!i)
+    specError(std::string(clause) + "." + std::string(key) + "='" +
+              std::string(value) + "' is not a 64-bit integer");
+  return *i;
 }
 
 double parseProb(std::string_view clause, std::string_view key,
@@ -84,13 +56,14 @@ struct KeyValue {
 std::vector<KeyValue> parseBody(std::string_view clause,
                                 std::string_view body) {
   std::vector<KeyValue> out;
-  for (std::string_view kv : split(body, ',')) {
-    kv = trim(kv);
+  for (std::string_view kv : splitNonEmpty(body, ',')) {
+    kv = trimBlanks(kv);
     const std::size_t eq = kv.find('=');
     if (eq == std::string_view::npos || eq == 0 || eq + 1 >= kv.size())
       specError("clause '" + std::string(clause) + "' expects key=value pairs, " +
            "got '" + std::string(kv) + "'");
-    out.push_back({trim(kv.substr(0, eq)), trim(kv.substr(eq + 1))});
+    out.push_back(
+        {trimBlanks(kv.substr(0, eq)), trimBlanks(kv.substr(eq + 1))});
   }
   return out;
 }
@@ -98,13 +71,6 @@ std::vector<KeyValue> parseBody(std::string_view clause,
 [[noreturn]] void unknownKey(std::string_view clause, std::string_view key) {
   specError("unknown key '" + std::string(key) + "' in clause '" +
        std::string(clause) + "'");
-}
-
-/// %.17g: shortest form that survives a strtod round trip for doubles.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -117,15 +83,15 @@ bool FaultSpec::active() const noexcept {
 
 FaultSpec FaultSpec::parse(std::string_view text) {
   FaultSpec spec;
-  text = trim(text);
+  text = trimBlanks(text);
   if (text.empty() || text == "none") return spec;
 
   bool seen[10] = {};
-  for (std::string_view raw : split(text, ';')) {
-    const std::string_view clause_text = trim(raw);
+  for (std::string_view raw : splitNonEmpty(text, ';')) {
+    const std::string_view clause_text = trimBlanks(raw);
     if (clause_text.empty()) continue;
     const std::size_t colon = clause_text.find(':');
-    const std::string_view name = trim(clause_text.substr(
+    const std::string_view name = trimBlanks(clause_text.substr(
         0, colon == std::string_view::npos ? clause_text.size() : colon));
     const std::string_view body =
         colon == std::string_view::npos ? std::string_view{}
@@ -251,6 +217,7 @@ FaultSpec FaultSpec::parse(std::string_view text) {
 }
 
 std::string FaultSpec::print() const {
+  const auto num = [](double v) { return printDouble(v); };
   std::string out;
   const auto clause = [&](const std::string& text) {
     if (!out.empty()) out += ';';

@@ -52,7 +52,8 @@ const std::string& workloadName(const SweepSpec& spec, const SweepJob& job) {
 std::unique_ptr<GovernorFactory> makeGovernorFactory(
     const std::string& mechanism, const VfTable& vf, double preset,
     const std::shared_ptr<const SsmModel>& model) {
-  if (mechanism == "baseline") return nullptr;
+  if (mechanism == "baseline")
+    return std::make_unique<StaticFactory>(vf.defaultLevel());
   if (mechanism == "ssmdvfs" || mechanism == "ssmdvfs-nocal") {
     if (!model)
       throw DataError("mechanism '" + mechanism + "' needs a trained model");
@@ -167,24 +168,16 @@ SweepResult FleetRunner::runReplayJob(const SweepJob& job) const {
   out.job = job;
   out.baseline = trace.recorded;
 
-  // "baseline" replays the static-default policy (makeGovernorFactory maps
-  // it to no governor, which has no open-loop meaning): its agreement tells
-  // how often the recorded policy sat at the default level.
   const auto factory =
       makeGovernorFactory(mech, trace.vf, preset, spec_.model);
-  const StaticFactory static_default(trace.vf.defaultLevel());
-  const GovernorFactory& chosen =
-      factory != nullptr ? *factory
-                         : static_cast<const GovernorFactory&>(static_default);
-
   GovernorModeLog mode_log;
-  const HardenedGovernorFactory hardened(chosen, trace.vf, HardenedConfig{},
+  const HardenedGovernorFactory hardened(*factory, trace.vf, HardenedConfig{},
                                          &mode_log);
   engine::ReplayOptions opts;
   opts.counterfactual = spec_.counterfactual;
   const engine::ReplayReport report = engine::replayTrace(
       trace,
-      spec_.harden ? static_cast<const GovernorFactory&>(hardened) : chosen,
+      spec_.harden ? static_cast<const GovernorFactory&>(hardened) : *factory,
       mech, opts);
   out.governed = report.result;
   out.governed.mechanism = mech;
@@ -201,34 +194,43 @@ SweepResult FleetRunner::runReplayJob(const SweepJob& job) const {
   return out;
 }
 
-SweepResult FleetRunner::runJob(const SweepJob& job) const {
-  if (replayMode(spec_)) return runReplayJob(job);
-  const KernelProfile& kernel = spec_.workloads[job.workload];
-  const std::string& mech = spec_.mechanisms[job.mechanism];
-  const double preset = spec_.presets[job.preset];
+SweepResult runCell(const SweepSpec& spec, const SweepJob& job,
+                    EpochTraceRecorder* trace, GovernorModeLog* mode_log) {
+  SSM_CHECK(job.workload < spec.workloads.size() &&
+                job.mechanism < spec.mechanisms.size() &&
+                job.preset < spec.presets.size() &&
+                job.fault < spec.faults.size() &&
+                job.thermal < spec.thermal.size(),
+            "job coordinates lie outside the live sweep's axes");
+  const KernelProfile& kernel = spec.workloads[job.workload];
+  const std::string& mech = spec.mechanisms[job.mechanism];
+  // Built first so an unknown mechanism fails before any simulation.
+  const auto factory = makeGovernorFactory(mech, spec.vf,
+                                           spec.presets[job.preset],
+                                           spec.model);
 
-  Gpu machine(spec_.gpu, spec_.vf, kernel, job.sim_seed,
-              ChipPowerModel(spec_.gpu.num_clusters));
+  Gpu machine(spec.gpu, spec.vf, kernel, job.sim_seed,
+              ChipPowerModel(spec.gpu.num_clusters));
 
   // An enabled thermal cell attaches physics to the machine BEFORE it is
   // copied into the runs, so baseline and governed both integrate the RC
   // network and leakage feedback. Each run gets its own throttle instance
   // (the state machine is per-run, like the governors).
-  const thermal::ThermalScenario& scenario = spec_.thermal[job.thermal];
-  if (scenario.enabled) machine.attachThermal(scenario.params);
-  const int max_level = static_cast<int>(spec_.vf.defaultLevel());
+  const thermal::ThermalScenario& scenario = spec.thermal[job.thermal];
   std::optional<thermal::ThermalThrottle> baseline_throttle;
   std::optional<thermal::ThermalThrottle> governed_throttle;
   if (scenario.enabled) {
-    baseline_throttle.emplace(scenario.throttle, spec_.gpu.num_clusters,
+    machine.attachThermal(scenario.params);
+    const int max_level = static_cast<int>(spec.vf.defaultLevel());
+    baseline_throttle.emplace(scenario.throttle, spec.gpu.num_clusters,
                               max_level);
-    governed_throttle.emplace(scenario.throttle, spec_.gpu.num_clusters,
+    governed_throttle.emplace(scenario.throttle, spec.gpu.num_clusters,
                               max_level);
   }
 
   SweepResult out;
   out.job = job;
-  out.baseline = runBaseline(machine, spec_.max_time_ns,
+  out.baseline = runBaseline(machine, spec.max_time_ns,
                              baseline_throttle ? &*baseline_throttle
                                                : nullptr);
   out.baseline.workload = kernel.name;
@@ -237,36 +239,37 @@ SweepResult FleetRunner::runJob(const SweepJob& job) const {
   // reference that overshoot/EDP deltas are measured against. The injector
   // seed is forked off the job's coordinates (never thread identity), so
   // any --jobs value replays the same fault pattern.
-  const faults::FaultSpec& fault_spec = spec_.faults[job.fault];
+  const faults::FaultSpec& fault_spec = spec.faults[job.fault];
   std::unique_ptr<faults::FaultInjector> injector;
   if (fault_spec.active())
     injector = std::make_unique<faults::FaultInjector>(
         fault_spec, faults::injectorSeed(job.sim_seed, job.fault));
 
-  const auto factory =
-      makeGovernorFactory(mech, spec_.vf, preset, spec_.model);
-  GovernorModeLog mode_log;
-  thermal::ThermalThrottle* throttle =
-      governed_throttle ? &*governed_throttle : nullptr;
-  if (factory != nullptr && spec_.harden) {
-    const HardenedGovernorFactory hardened(*factory, spec_.vf,
-                                           HardenedConfig{}, &mode_log);
-    out.governed = runWithGovernor(machine, hardened, mech, spec_.max_time_ns,
-                                   nullptr, injector.get(), throttle);
+  GovernorModeLog own_log;
+  GovernorModeLog& log = mode_log != nullptr ? *mode_log : own_log;
+  if (mech == "baseline") {
+    out.governed = out.baseline;
   } else {
-    out.governed = factory ? runWithGovernor(machine, *factory, mech,
-                                             spec_.max_time_ns, nullptr,
-                                             injector.get(), throttle)
-                           : out.baseline;
+    const HardenedGovernorFactory hardened(*factory, spec.vf,
+                                           HardenedConfig{}, &log);
+    out.governed = runWithGovernor(
+        std::move(machine),
+        spec.harden ? static_cast<const GovernorFactory&>(hardened) : *factory,
+        mech, spec.max_time_ns, trace, injector.get(),
+        governed_throttle ? &*governed_throttle : nullptr);
   }
   out.governed.workload = kernel.name;
   out.governed.mechanism = mech;
   out.peak_temp_c = out.governed.peak_temp_c;
   out.throttle_epochs = out.governed.throttle_epochs;
   if (injector != nullptr) out.fault_counts = injector->counts();
-  out.fallbacks = mode_log.fallbacks();
-  out.recoveries = mode_log.recoveries();
+  out.fallbacks = log.fallbacks();
+  out.recoveries = log.recoveries();
   return out;
+}
+
+SweepResult FleetRunner::runJob(const SweepJob& job) const {
+  return replayMode(spec_) ? runReplayJob(job) : runCell(spec_, job);
 }
 
 std::vector<SweepResult> FleetRunner::run(const ProgressFn& progress) const {
@@ -338,18 +341,7 @@ std::string toJsonLine(const SweepSpec& spec, const SweepResult& r) {
   if (faultAxisActive(spec)) {
     const faults::FaultSpec& fs = spec.faults[r.job.fault];
     w.value("faults", fs.print());
-    w.beginObject("fault_counts")
-        .value("noise", r.fault_counts.noise)
-        .value("dropout", r.fault_counts.dropout)
-        .value("delay", r.fault_counts.delay)
-        .value("failed", r.fault_counts.failed)
-        .value("stuck", r.fault_counts.stuck)
-        .value("jitter", r.fault_counts.jitter)
-        .value("heatsoak", r.fault_counts.heatsoak)
-        .value("tsensor", r.fault_counts.tsensor)
-        .value("tjolt", r.fault_counts.tjolt)
-        .value("total", r.fault_counts.total())
-        .endObject();
+    r.fault_counts.writeJson(w);
   }
   if (thermalAxisActive(spec)) {
     w.value("thermal", spec.thermal[r.job.thermal].print())

@@ -31,6 +31,10 @@
 #include "thermal/thermal_spec.hpp"
 #include "workloads/kernel_profile.hpp"
 
+namespace ssm {
+class GovernorModeLog;
+}  // namespace ssm
+
 namespace ssm::fleet {
 
 /// The cartesian sweep specification. Workloads are resolved profiles so
@@ -130,11 +134,26 @@ struct SweepResult {
 
 /// Builds the governor factory for a mechanism name (the `run`/`sweep`
 /// vocabulary: baseline, static-<L>, ssmdvfs, ssmdvfs-nocal, pcstall,
-/// flemma, ondemand). Returns nullptr for "baseline" (no governor);
-/// throws DataError for unknown names or a missing model.
+/// flemma, ondemand). "baseline" is the static-default policy: every
+/// governor holds vf.defaultLevel(). Never returns nullptr; throws
+/// DataError for unknown names or a missing model.
 [[nodiscard]] std::unique_ptr<GovernorFactory> makeGovernorFactory(
     const std::string& mechanism, const VfTable& vf, double preset,
     const std::shared_ptr<const SsmModel>& model);
+
+/// One live cell of `spec` at `job`'s coordinates (live mode only): a
+/// clean static-default baseline run and the mechanism's governed run of
+/// the same program, both from a Gpu seeded with `job.sim_seed`. An enabled
+/// thermal scenario attaches RC physics to both runs, each with its own
+/// throttle; an active fault scenario corrupts the governed run only, from
+/// an injector seeded by (sim_seed, fault index); `spec.harden` wraps the
+/// governors in the HardenedGovernor decorator. "baseline" is the one
+/// mechanism treated specially: its governed result IS the clean baseline
+/// run. Null seams give the sweep cell; `trace` records the governed run's
+/// epochs and `mode_log` collects its hardened mode transitions.
+[[nodiscard]] SweepResult runCell(const SweepSpec& spec, const SweepJob& job,
+                                  EpochTraceRecorder* trace = nullptr,
+                                  GovernorModeLog* mode_log = nullptr);
 
 /// Called under the collector lock as jobs complete, in completion order.
 using ProgressFn = ThreadPool::ProgressFn;

@@ -1,91 +1,68 @@
 #include "thermal/thermal_spec.hpp"
 
-// ssm-lint: allow(hot-path-io) — snprintf for print(); cold config code
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
-
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace ssm::thermal {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
-
 [[noreturn]] void specError(const std::string& what) {
   throw DataError("bad --thermal spec: " + what);
 }
 
+double parseFinite(std::string_view key, std::string_view value) {
+  const auto d = parseNumber<double>(value);
+  if (!d)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not a finite number");
+  return *d;
+}
+
 double parsePositive(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not a number");
+  const double d = parseFinite(key, value);
   if (d <= 0.0)
-    specError(std::string(key) + " must be > 0, got " + v);
+    specError(std::string(key) + " must be > 0, got " + std::string(value));
   return d;
 }
 
 double parseTemp(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not a number");
+  const double d = parseFinite(key, value);
   if (d < -273.15 || d > 1000.0)
-    specError(std::string(key) + " must be a plausible degC value, got " + v);
+    specError(std::string(key) + " must be a plausible degC value, got " +
+              std::string(value));
   return d;
 }
 
 int parseSmallInt(std::string_view key, std::string_view value, int lo,
                   int hi) {
-  char* end = nullptr;
-  const std::string v(value);
-  const long long i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not an integer");
-  if (i < lo || i > hi)
+  const auto i = parseNumber<int>(value);
+  if (!i)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not an integer");
+  if (*i < lo || *i > hi)
     specError(std::string(key) + " must be in [" + std::to_string(lo) + "," +
-              std::to_string(hi) + "], got " + v);
-  return static_cast<int>(i);
-}
-
-/// %.17g: shortest form that survives a strtod round trip for doubles.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+              std::to_string(hi) + "], got " + std::string(value));
+  return *i;
 }
 
 }  // namespace
 
 ThermalScenario ThermalScenario::parse(std::string_view text) {
   ThermalScenario scenario;
-  text = trim(text);
+  text = trimBlanks(text);
   if (text.empty() || text == "none") return scenario;
   scenario.enabled = true;
   if (text == "on") return scenario;
 
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t at = text.find(',', start);
-    if (at == std::string_view::npos) at = text.size();
-    const std::string_view kv = trim(text.substr(start, at - start));
-    start = at + 1;
+  for (const std::string_view raw : splitNonEmpty(text, ',')) {
+    const std::string_view kv = trimBlanks(raw);
     if (kv.empty()) continue;
     const std::size_t eq = kv.find('=');
     if (eq == std::string_view::npos || eq == 0 || eq + 1 >= kv.size())
       specError("expected key=value pairs, got '" + std::string(kv) + "'");
-    const std::string_view key = trim(kv.substr(0, eq));
-    const std::string_view value = trim(kv.substr(eq + 1));
+    const std::string_view key = trimBlanks(kv.substr(0, eq));
+    const std::string_view value = trimBlanks(kv.substr(eq + 1));
     if (key == "amb") scenario.params.ambient_c = parseTemp(key, value);
     else if (key == "rc") scenario.params.r_cluster = parsePositive(key, value);
     else if (key == "cc") scenario.params.c_cluster = parsePositive(key, value);
@@ -119,21 +96,21 @@ std::string ThermalScenario::print() const {
     out += value;
   };
   if (params.ambient_c != defaults.params.ambient_c)
-    emit("amb", num(params.ambient_c));
+    emit("amb", printDouble(params.ambient_c));
   if (params.r_cluster != defaults.params.r_cluster)
-    emit("rc", num(params.r_cluster));
+    emit("rc", printDouble(params.r_cluster));
   if (params.c_cluster != defaults.params.c_cluster)
-    emit("cc", num(params.c_cluster));
+    emit("cc", printDouble(params.c_cluster));
   if (params.r_package != defaults.params.r_package)
-    emit("rp", num(params.r_package));
+    emit("rp", printDouble(params.r_package));
   if (params.c_package != defaults.params.c_package)
-    emit("cp", num(params.c_package));
+    emit("cp", printDouble(params.c_package));
   if (throttle.trip_c != defaults.throttle.trip_c)
-    emit("trip", num(throttle.trip_c));
+    emit("trip", printDouble(throttle.trip_c));
   if (throttle.package_trip_c != defaults.throttle.package_trip_c)
-    emit("ptrip", num(throttle.package_trip_c));
+    emit("ptrip", printDouble(throttle.package_trip_c));
   if (throttle.hysteresis_c != defaults.throttle.hysteresis_c)
-    emit("hyst", num(throttle.hysteresis_c));
+    emit("hyst", printDouble(throttle.hysteresis_c));
   if (throttle.floor_level != defaults.throttle.floor_level)
     emit("floor", std::to_string(throttle.floor_level));
   if (throttle.recover_epochs != defaults.throttle.recover_epochs)

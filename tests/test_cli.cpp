@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace ssm {
@@ -18,6 +19,9 @@ namespace {
 
 #ifndef SSM_CLI_PATH
 #error "SSM_CLI_PATH must be defined by the build system"
+#endif
+#ifndef SSM_GOLDEN_DIR
+#error "SSM_GOLDEN_DIR must be defined by the build system"
 #endif
 
 /// Runs the CLI with `args`, captures stdout(+stderr), returns exit code.
@@ -337,6 +341,87 @@ TEST_F(CliTest, BadInputsFailWithDiagnostics) {
     EXPECT_NE(out.find("error"), std::string::npos) << out;
     EXPECT_NE(out.find("bad --faults spec"), std::string::npos) << out;
   }
+
+  // Numeric options parse strictly: junk, trailing junk, out-of-range
+  // values and negative seeds are errors, never a silent 0 or a wrap.
+  for (const std::string bad :
+       {"run --workload bfs --seed -1", "run --workload bfs --seed 12abc",
+        "run --workload bfs --preset zero", "run --workload bfs --preset nan",
+        "record --workload spmv --out x --clusters 4294967298",
+        "dc --mix spmv --seeds 1,-1 --out x.jsonl",
+        "dc --mix spmv --gpus 2x", "dc --mix spmv --rack-caps 100,abc",
+        "sweep --workloads spmv --mechanisms baseline --seeds 7,x "
+        "--out x.jsonl",
+        "sweep --workloads spmv --mechanisms baseline --max-ms 1.5 "
+        "--out x.jsonl",
+        "sweep --workloads spmv --mechanisms baseline "
+        "--max-ms 9223372036854775807 --out x.jsonl"}) {
+    EXPECT_NE(runCli(bad, &out), 0) << bad;
+    EXPECT_NE(out.find("error: --"), std::string::npos) << bad << ": " << out;
+  }
+
+  // Grammar values that used to slip through: NaN noise and thermal
+  // parameters, and a job count that wrapped to 2.
+  for (const std::string bad :
+       {"run --workload bfs --mechanism static-2 --faults "
+        "\"noise:p=0.5,sigma=nan\"",
+        "run --workload bfs --mechanism static-2 --faults "
+        "\"jitter:p=0.5,frac=nan\"",
+        "run --workload bfs --thermal trip=nan",
+        "run --workload bfs --thermal trip=40,hyst=nan",
+        "dc --mix spmv --traffic \"shape=steady;jobs=4294967298\""}) {
+    EXPECT_NE(runCli(bad, &out), 0) << bad;
+    EXPECT_NE(out.find("error: bad --"), std::string::npos)
+        << bad << ": " << out;
+  }
+}
+
+// The record/replay goldens of CI, plus a live `run` cell with faults,
+// thermal and hardening: every byte must match the committed files.
+TEST_F(CliTest, GoldensAreByteIdentical) {
+  const std::string golden = SSM_GOLDEN_DIR;
+  std::string out;
+  const std::string rec = dir_ + "/replay_spmv.ssmtrace";
+  ASSERT_EQ(runCli("record --workload spmv --mechanism pcstall --clusters 2 "
+                   "--max-ms 1 --seed 777 --out " + rec,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(rec), slurp(golden + "/replay_spmv.ssmtrace"));
+
+  const std::string rep = dir_ + "/replay_spmv.json";
+  ASSERT_EQ(runCli("replay --trace " + golden +
+                       "/replay_spmv.ssmtrace --json " + rep,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(rep), slurp(golden + "/replay_spmv.json"));
+
+  const std::string kf = dir_ + "/counterfactual_spmv.ssmtrace";
+  ASSERT_EQ(runCli("record --workload spmv --mechanism pcstall --clusters 2 "
+                   "--max-ms 1 --seed 777 --keyframe-every 16 --out " + kf,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(kf), slurp(golden + "/counterfactual_spmv.ssmtrace"));
+
+  const std::string cf = dir_ + "/counterfactual_spmv.json";
+  ASSERT_EQ(runCli("replay --trace " + golden +
+                       "/counterfactual_spmv.ssmtrace --mechanism ondemand "
+                       "--counterfactual --json " + cf,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(cf), slurp(golden + "/counterfactual_spmv.json"));
+
+  const std::string run = dir_ + "/run_bfs_pcstall.json";
+  ASSERT_EQ(runCli("run --workload bfs --mechanism pcstall --faults "
+                   "\"noise:p=0.3,sigma=0.25;fail:p=0.2\" --thermal "
+                   "\"trip=36.5,ptrip=35.5,hyst=1\" --harden --json " + run,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(run), slurp(golden + "/run_bfs_pcstall.json"));
 }
 
 // A valid scenario reaches the simulator: the run reports injection counts

@@ -1,18 +1,28 @@
-// Seeded mutation harness for the binary decoders: every mutant of a valid
-// .ssmtrace image or Gpu snapshot must either decode or throw DataError.
-// Nothing else may escape — no ContractError from a validating constructor,
-// no bad_alloc from a mangled count, no length_error.
+// Seeded mutation harness for the decoders of untrusted input: every mutant
+// of a valid .ssmtrace image, Gpu snapshot, model text or spec-grammar
+// string must either decode or throw DataError. Nothing else may escape —
+// no ContractError from a validating constructor, no bad_alloc from a
+// mangled count, no length_error.
 //
-// Inputs: a v1 trace, a v2 trace with thermal tracks, a v3 trace with
-// keyframes, and a mid-run Gpu snapshot with thermal attached. Mutants:
-// byte flips, truncations, splices, inflated counts and (for traces)
-// version rewrites. Trace headers are rewritten after every mutation so the
-// payload checksum passes and the payload parser sees the mutant.
+// Binary inputs: a v1 trace, a v2 trace with thermal tracks, a v3 trace
+// with keyframes, and a mid-run Gpu snapshot with thermal attached.
+// Mutants: byte flips, truncations, splices, inflated counts and (for
+// traces) version rewrites. Trace headers are rewritten after every
+// mutation so the payload checksum passes and the payload parser sees the
+// mutant.
+//
+// Text inputs: a small model text and valid --faults, --thermal and
+// --traffic specs. Mutants: character flips, truncations, splices, token
+// deletions and hostile numbers (huge, negative, NaN, out of int range) in
+// place of a number. A grammar string that parses must also round-trip:
+// parse(print(x)) prints x again.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <typeinfo>
@@ -22,12 +32,16 @@
 #include "baselines/pcstall.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/ssm_io.hpp"
+#include "dc/traffic.hpp"
 #include "engine/epoch_loop.hpp"
 #include "engine/fork.hpp"
 #include "engine/sim_backend.hpp"
 #include "engine/trace_io.hpp"
+#include "faults/fault_spec.hpp"
 #include "gpusim/gpu_snapshot.hpp"
 #include "gpusim/trace.hpp"
+#include "thermal/thermal_spec.hpp"
 #include "workloads/kernel_profile.hpp"
 
 namespace ssm {
@@ -225,6 +239,223 @@ TEST(DecodeMutation, TraceV3MutantsDecodeOrThrowDataError) {
 
 TEST(DecodeMutation, SnapshotMutantsDecodeOrThrowDataError) {
   EXPECT_EQ(escapes(snapshotImage(), false, 4, decodeSnapshot), 0);
+}
+
+// ---- text decoders --------------------------------------------------------
+
+/// A small valid model text: 2 features, 4 levels, one hidden layer in each
+/// net, deterministic non-trivial parameters.
+std::string modelImage() {
+  std::ostringstream os;
+  os << "ssmdvfs-model-v1\nfeatures 2 0 3\nlevels 4\ndecode_theta 0.5\n"
+        "corrupt 0.1 0.5\ninit_seed 7\ntrain 10 0.001\n"
+        "decision_hidden 1 3\ncalibrator_hidden 1 2\n"
+        "standardizer 3 0.5 -1 2\n3 1 0.5 2\n";
+  int k = 0;
+  const auto vec = [&](std::size_t n, bool mask) {
+    os << n;
+    for (std::size_t i = 0; i < n; ++i, ++k)
+      os << ' ' << (mask ? (k % 5 != 0 ? 1 : 0) : 0.125 * (k % 11) - 0.5);
+    os << '\n';
+  };
+  const auto net = [&](const char* name, const std::vector<int>& dims) {
+    os << name << '\n' << dims.size() - 1 << '\n';
+    for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+      const auto in = static_cast<std::size_t>(dims[l]);
+      const auto out = static_cast<std::size_t>(dims[l + 1]);
+      os << in << ' ' << out << '\n';
+      vec(in * out, false);
+      vec(out, false);
+      vec(in * out, true);
+    }
+  };
+  net("decision", {3, 3, 4});
+  net("calibrator", {7, 2, 1});
+  return os.str();
+}
+
+/// Start offsets of the whitespace-separated tokens of `text`.
+std::vector<std::size_t> tokenStarts(std::string_view text) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < text.size(); ++i)
+    if (text[i] != ' ' && text[i] != '\n' &&
+        (i == 0 || text[i - 1] == ' ' || text[i - 1] == '\n'))
+      out.push_back(i);
+  return out;
+}
+
+/// One mutant of a text input. Numbers are replaced whole: a token runs to
+/// the next blank, newline or grammar separator.
+std::string mutateText(const std::string& good, Rng& rng) {
+  static constexpr const char* kHostile[] = {
+      "999999999999999", "-1", "0", "4294967297", "4294967298", "nan",
+      "-nan", "inf", "-inf", "1e999", "1e308", "-2147483648", "2147483647",
+      "18446744073709551615", "9223372036854775808", "3.5", "+1", "0x10",
+      "", "1e-320"};
+  static constexpr std::string_view kChars = "0123456789-+.e=,;:| \nanx";
+  std::string m = good;
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.nextBelow(n));
+  };
+  const auto tokenEnd = [&](std::size_t at) {
+    const std::size_t end = m.find_first_of(" \n=,;:", at + 1);
+    return end == std::string::npos ? m.size() : end;
+  };
+  switch (rng.nextBelow(5)) {
+    case 0: {  // flip 1-4 characters
+      const std::size_t flips = 1 + pick(4);
+      for (std::size_t i = 0; i < flips && !m.empty(); ++i)
+        m[pick(m.size())] = kChars[pick(kChars.size())];
+      break;
+    }
+    case 1:  // truncate
+      m.resize(pick(m.size()));
+      break;
+    case 2: {  // splice a chunk over, or into, another position
+      const std::string chunk = good.substr(pick(good.size()), 1 + pick(24));
+      const std::size_t dst = pick(m.size());
+      if (rng.nextBelow(2) == 0)
+        m.replace(dst, chunk.size(), chunk);
+      else
+        m.insert(dst, chunk);
+      break;
+    }
+    case 3: {  // a hostile number in place of a value or number token
+      std::vector<std::size_t> starts;
+      for (std::size_t i = 0; i < m.size(); ++i)
+        if ((m[i] >= '0' && m[i] <= '9') &&
+            (i == 0 || std::string_view(" \n=,").find(m[i - 1]) !=
+                           std::string_view::npos))
+          starts.push_back(i);
+      if (starts.empty()) break;
+      const std::size_t at = starts[pick(starts.size())];
+      m.replace(at, tokenEnd(at) - at, kHostile[pick(std::size(kHostile))]);
+      break;
+    }
+    default: {  // delete one token
+      const std::vector<std::size_t> starts = tokenStarts(m);
+      if (starts.empty()) break;
+      const std::size_t at = starts[pick(starts.size())];
+      m.erase(at, tokenEnd(at) - at);
+      break;
+    }
+  }
+  return m;
+}
+
+/// Runs `decode` on mutants of the `inputs`; returns how many escaped with
+/// anything other than DataError (each is also reported).
+template <class Decode>
+int textEscapes(const std::vector<std::string>& inputs, std::uint64_t seed,
+                Decode decode) {
+  Rng rng(seed);
+  int escaped = 0;
+  for (int i = 0; i < kMutantsPerInput; ++i) {
+    const std::string m = mutateText(inputs[rng.nextBelow(inputs.size())], rng);
+    try {
+      decode(m);
+    } catch (const DataError&) {
+    } catch (const std::exception& e) {
+      ++escaped;
+      ADD_FAILURE() << "mutant '" << m << "' (seed " << seed
+                    << ") escaped with " << typeid(e).name() << ": "
+                    << e.what();
+    }
+  }
+  return escaped;
+}
+
+void decodeModel(const std::string& text) {
+  std::istringstream is(text);
+  static_cast<void>(deserializeModel(is));
+}
+
+/// Parses `text`; whatever is accepted must print to a canonical form that
+/// parses back to the same print.
+template <class Spec>
+void parseRoundTrip(const std::string& text) {
+  const std::string printed = Spec::parse(text).print();
+  std::string again;
+  try {
+    again = Spec::parse(printed).print();
+  } catch (const DataError& e) {
+    throw std::logic_error("canonical form '" + printed +
+                           "' rejected: " + e.what());
+  }
+  if (again != printed)
+    throw std::logic_error("'" + printed + "' printed back as '" + again +
+                           "'");
+}
+
+TEST(DecodeMutation, ModelImageDecodes) {
+  std::istringstream is(modelImage());
+  const SsmModel model = deserializeModel(is);
+  EXPECT_EQ(model.config().num_levels, 4);
+  EXPECT_EQ(model.config().features.size(), 2U);
+}
+
+TEST(DecodeMutation, ModelTextMutantsDecodeOrThrowDataError) {
+  EXPECT_EQ(textEscapes({modelImage()}, 5, decodeModel), 0);
+}
+
+TEST(DecodeMutation, ModelTextRejectsHugeAndDegenerateSizes) {
+  const std::string good = modelImage();
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"standardizer 3", 
+                                            "standardizer 999999999999999"},
+        {"decision_hidden 1 3", "decision_hidden 999999999999999"},
+        {"decision_hidden 1 3", "decision_hidden 1 2000000000"},
+        {"decision_hidden 1 3", "decision_hidden 1 -3"},
+        {"levels 4", "levels 0"},
+        {"levels 4", "levels 2147483647"},
+        {"features 2 0 3", "features 999999999999999 0 3"}}) {
+    std::string bad = good;
+    bad.replace(bad.find(from), from.size(), to);
+    EXPECT_THROW(decodeModel(bad), DataError) << to;
+  }
+}
+
+TEST(DecodeMutation, FaultSpecMutantsParseOrThrowDataError) {
+  EXPECT_EQ(textEscapes({"noise:p=0.3,sigma=0.25,bias=0.05;dropout:p=0.1,"
+                         "mode=stale;delay:p=0.2,k=3;fail:p=0.1",
+                         "stuck:p=0.05,epochs=6;jitter:p=0.3,frac=0.15;"
+                         "heatsoak:add=5,ramp=100;window:start=10,end=60",
+                         "tsensor:p=0.1,mode=lag,k=2;tjolt:p=0.1,amp=3"},
+                        6, parseRoundTrip<faults::FaultSpec>),
+            0);
+}
+
+TEST(DecodeMutation, ThermalSpecMutantsParseOrThrowDataError) {
+  EXPECT_EQ(textEscapes({"amb=40,rc=0.5,cc=0.02,rp=0.1,cp=0.5",
+                         "trip=80,ptrip=75,hyst=2,floor=1,recover=5", "on"},
+                        7, parseRoundTrip<thermal::ThermalScenario>),
+            0);
+}
+
+TEST(DecodeMutation, TrafficSpecMutantsParseOrThrowDataError) {
+  EXPECT_EQ(textEscapes({"shape=bursty;jobs=64;rate=2;slack=3;burst=6;"
+                         "duty=0.25;period=4;prio=2",
+                         "shape=diurnal;jobs=10;rate=1;period=3",
+                         "shape=adversarial;jobs=8;burst=4;prio=16"},
+                        8, parseRoundTrip<dc::TrafficSpec>),
+            0);
+}
+
+TEST(DecodeMutation, GrammarsRejectNaNAndOutOfRangeIntegers) {
+  for (const char* bad : {"noise:p=0.5,sigma=nan", "jitter:p=0.5,frac=nan",
+                          "noise:p=0.5,bias=inf", "window:start=1e999",
+                          "window:start=9223372036854775808"})
+    EXPECT_THROW(static_cast<void>(faults::FaultSpec::parse(bad)), DataError)
+        << bad;
+  for (const char* bad : {"trip=nan", "trip=40,hyst=nan", "rc=inf",
+                          "floor=4294967296"})
+    EXPECT_THROW(static_cast<void>(thermal::ThermalScenario::parse(bad)),
+                 DataError)
+        << bad;
+  for (const char* bad : {"shape=steady;jobs=4294967298", "rate=inf",
+                          "prio=4294967298", "period=nan"})
+    EXPECT_THROW(static_cast<void>(dc::TrafficSpec::parse(bad)), DataError)
+        << bad;
 }
 
 }  // namespace

@@ -70,7 +70,14 @@ TEST(FleetExpand, EmptyAxisIsAContractViolation) {
 
 TEST(FleetFactory, MechanismVocabulary) {
   const VfTable vf = VfTable::titanX();
-  EXPECT_EQ(fleet::makeGovernorFactory("baseline", vf, 0.1, nullptr), nullptr);
+  // "baseline" is the static-default policy, a factory like any other.
+  const auto baseline =
+      fleet::makeGovernorFactory("baseline", vf, 0.1, nullptr);
+  ASSERT_NE(baseline, nullptr);
+  for (int cluster : {0, 5}) {
+    const auto gov = baseline->create(cluster);
+    EXPECT_EQ(gov->decide(EpochObservation{}), vf.defaultLevel());
+  }
   EXPECT_NE(fleet::makeGovernorFactory("static-2", vf, 0.1, nullptr), nullptr);
   EXPECT_NE(fleet::makeGovernorFactory("pcstall", vf, 0.1, nullptr), nullptr);
   EXPECT_NE(fleet::makeGovernorFactory("flemma", vf, 0.1, nullptr), nullptr);

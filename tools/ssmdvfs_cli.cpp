@@ -15,7 +15,8 @@
 //             flemma, ondemand}
 //       SPEC is the fault grammar of docs/faults.md, e.g.
 //       "noise:p=0.3,sigma=0.25;dropout:p=0.1,mode=zero"; --harden wraps
-//       the governor in the degraded-mode watchdog (src/core)
+//       the governor in the degraded-mode watchdog (src/core). A run is one
+//       live sweep cell (fleet::runCell) whose simulator seed is --seed
 //   ssmdvfs oracle    --workload NAME [--seed S]
 //   ssmdvfs hw-cost   --model model.txt
 //   ssmdvfs quantize  --model model.txt --data corpus.csv
@@ -68,17 +69,23 @@
 //
 // `datagen` and `sweep` accept --jobs N to run on the work-stealing pool
 // (src/sched); output is byte-identical for every N.
+//
+// Numeric options parse strictly (std::from_chars, src/common/parse.hpp):
+// junk, trailing junk, out-of-range values and negative seeds fail with
+// "error: --<option>: ..." and exit 1 instead of reading as 0 or wrapping.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/oracle.hpp"
@@ -87,6 +94,7 @@
 #include "core/hardened_governor.hpp"
 #include "core/ssm_governor.hpp"
 #include "common/json_writer.hpp"
+#include "common/parse.hpp"
 #include "core/ssm_io.hpp"
 #include "faults/fault_injector.hpp"
 #include "datagen/corpus_stats.hpp"
@@ -145,17 +153,34 @@ class Args {
     }
     return values_.at(key);
   }
-  [[nodiscard]] double getDouble(const std::string& key,
-                                 double fallback) const {
-    return has(key) ? std::atof(values_.at(key).c_str()) : fallback;
+  /// Strict numeric option: the whole value must be one in-range number
+  /// of type T (common/parse.hpp), else DataError naming the option.
+  template <class T>
+  [[nodiscard]] T number(const std::string& key, T fallback) const {
+    return has(key) ? numberOf<T>(key, values_.at(key)) : fallback;
   }
-  [[nodiscard]] long getInt(const std::string& key, long fallback) const {
-    return has(key) ? std::atol(values_.at(key).c_str()) : fallback;
+
+  template <class T>
+  [[nodiscard]] static T numberOf(const std::string& key,
+                                  std::string_view text) {
+    const auto v = parseNumber<T>(text);
+    if (!v)
+      throw DataError("--" + key + ": '" + std::string(text) +
+                      "' is not a number in this option's range");
+    return *v;
   }
 
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// --max-ms in nanoseconds; a bound whose nanoseconds overflow is refused.
+TimeNs maxTimeNs(const Args& args) {
+  const auto ms = args.number<TimeNs>("max-ms", 5);
+  if (ms < 1 || ms > std::numeric_limits<TimeNs>::max() / kNsPerMs)
+    throw DataError("--max-ms: " + std::to_string(ms) + " is out of range");
+  return ms * kNsPerMs;
+}
 
 /// Resolves --workload (+ optional --profile-file) to a kernel profile.
 KernelProfile resolveWorkload(const Args& args) {
@@ -181,13 +206,13 @@ int cmdListWorkloads() {
 int cmdDatagen(const Args& args) {
   const std::string out = args.require("out");
   GenConfig gen;
-  gen.runs_per_workload = static_cast<int>(args.getInt("runs", 3));
+  gen.runs_per_workload = args.number<int>("runs", 3);
   gen.epochs_per_breakpoint =
-      static_cast<int>(args.getInt("breakpoint-epochs", 6));
-  gen.seed = static_cast<std::uint64_t>(args.getInt("seed", 0xda7a));
+      args.number<int>("breakpoint-epochs", 6);
+  gen.seed = args.number<std::uint64_t>("seed", 0xda7a);
   const DataGenerator dg(GpuConfig{}, VfTable::titanX(), gen);
 
-  const int jobs = static_cast<int>(args.getInt("jobs", 1));
+  const int jobs = args.number<int>("jobs", 1);
   SSM_CHECK(jobs >= 1, "--jobs must be >= 1");
   ThreadPool pool(jobs);
   ThreadPool* pool_ptr = jobs > 1 ? &pool : nullptr;
@@ -215,7 +240,7 @@ int cmdTrain(const Args& args) {
     cfg.decision_hidden = arch.decision_hidden;
     cfg.calibrator_hidden = arch.calibrator_hidden;
   }
-  cfg.train.epochs = static_cast<int>(args.getInt("epochs", 800));
+  cfg.train.epochs = args.number<int>("epochs", 800);
   SsmModel model(cfg);
   std::printf("training on %zu points (%d epochs)...\n", train.size(),
               cfg.train.epochs);
@@ -241,67 +266,41 @@ int cmdEval(const Args& args) {
   return 0;
 }
 
+std::shared_ptr<const SsmModel> modelFor(const Args& args,
+                                         const std::string& mech) {
+  if (mech.rfind("ssmdvfs", 0) != 0) return nullptr;
+  return std::make_shared<const SsmModel>(loadModel(args.require("model")));
+}
+
 int cmdRun(const Args& args) {
+  // One live sweep cell (fleet::runCell), except that the simulator runs
+  // --seed itself where a sweep forks a seed per workload; at fault index 0
+  // the injector seed is faults::injectorSeed(--seed, 0). Absent/"none"
+  // --faults and --thermal leave the output byte-identical to a build
+  // without those subsystems.
   const std::string mech = args.get("mechanism", "baseline");
-  const double preset = args.getDouble("preset", 0.10);
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 777));
-  const GpuConfig gpu;
-  const VfTable vf = VfTable::titanX();
-  Gpu machine(gpu, vf, resolveWorkload(args), seed,
-              ChipPowerModel(gpu.num_clusters));
-
-  // An enabled --thermal scenario attaches RC physics before the machine is
-  // copied into the runs; baseline and governed each get their own throttle
-  // (the protection state machine is per run, like the governors). Absent
-  // or "none" leaves the output byte-identical to a pre-thermal build.
-  const thermal::ThermalScenario scenario =
-      thermal::ThermalScenario::parse(args.get("thermal"));
-  if (scenario.enabled) machine.attachThermal(scenario.params);
-  std::optional<thermal::ThermalThrottle> base_throttle;
-  std::optional<thermal::ThermalThrottle> gov_throttle;
-  if (scenario.enabled) {
-    const int max_level = static_cast<int>(vf.defaultLevel());
-    base_throttle.emplace(scenario.throttle, gpu.num_clusters, max_level);
-    gov_throttle.emplace(scenario.throttle, gpu.num_clusters, max_level);
-  }
-  const RunResult base = runBaseline(
-      machine, 5 * kNsPerMs, base_throttle ? &*base_throttle : nullptr);
-
-  std::shared_ptr<const SsmModel> model;
-  if (mech == "ssmdvfs" || mech == "ssmdvfs-nocal")
-    model = std::make_shared<const SsmModel>(loadModel(args.require("model")));
-  const std::unique_ptr<GovernorFactory> factory =
-      fleet::makeGovernorFactory(mech, vf, preset, model);
-
-  // The injector seed derives from --seed and fault index 0. This is not a
-  // sweep cell's pattern: a sweep also forks the simulation seed from
-  // (seed, workload index), so its machines run different streams. An
-  // absent/empty spec makes no RNG draws and leaves the output
-  // byte-identical to a fault-free build.
-  const faults::FaultSpec fault_spec =
-      faults::FaultSpec::parse(args.get("faults"));
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (fault_spec.active())
-    injector = std::make_unique<faults::FaultInjector>(
-        fault_spec, faults::injectorSeed(seed, 0));
+  fleet::SweepSpec spec;
+  spec.workloads = {resolveWorkload(args)};
+  spec.mechanisms = {mech};
+  spec.presets = {args.number<double>("preset", 0.10)};
+  spec.faults = {faults::FaultSpec::parse(args.get("faults"))};
+  spec.thermal = {thermal::ThermalScenario::parse(args.get("thermal"))};
+  spec.harden = args.has("harden");
+  spec.model = modelFor(args, mech);
+  fleet::SweepJob job;
+  job.sim_seed = args.number<std::uint64_t>("seed", 777);
 
   EpochTraceRecorder trace;
   GovernorModeLog mode_log;
-  RunResult run = base;
-  if (factory) {
-    EpochTraceRecorder* rec = args.has("trace") ? &trace : nullptr;
-    thermal::ThermalThrottle* throttle =
-        gov_throttle ? &*gov_throttle : nullptr;
-    if (args.has("harden")) {
-      const HardenedGovernorFactory hardened(*factory, vf, HardenedConfig{},
-                                             &mode_log);
-      run = runWithGovernor(machine, hardened, mech, 5 * kNsPerMs, rec,
-                            injector.get(), throttle);
-    } else {
-      run = runWithGovernor(machine, *factory, mech, 5 * kNsPerMs, rec,
-                            injector.get(), throttle);
-    }
-  }
+  const fleet::SweepResult cell = fleet::runCell(
+      spec, job, args.has("trace") ? &trace : nullptr, &mode_log);
+  const RunResult& base = cell.baseline;
+  const RunResult& run = cell.governed;
+  const double preset = spec.presets[0];
+  const faults::FaultSpec& fault_spec = spec.faults[0];
+  const thermal::ThermalScenario& scenario = spec.thermal[0];
+  // The baseline cell runs no governor: no trace, no mode transitions.
+  const bool governed = mech != "baseline";
 
   std::printf("%-14s time %.1f us  energy %.3f mJ  EDP %.4f uJ*s\n",
               "baseline", static_cast<double>(base.exec_time_ns) / 1e3,
@@ -314,8 +313,8 @@ int cmdRun(const Args& args) {
               100.0 * (static_cast<double>(run.exec_time_ns) /
                            static_cast<double>(base.exec_time_ns) -
                        1.0));
-  if (injector != nullptr) {
-    const auto& c = injector->counts();
+  if (fault_spec.active()) {
+    const faults::FaultCounts& c = cell.fault_counts;
     std::printf("faults '%s': injected %lld (noise %lld, dropout %lld, "
                 "delay %lld, failed %lld, stuck %lld, jitter %lld, "
                 "heatsoak %lld, tsensor %lld, tjolt %lld)\n",
@@ -331,15 +330,12 @@ int cmdRun(const Args& args) {
                 static_cast<long long>(c.tsensor),
                 static_cast<long long>(c.tjolt));
   }
-  if (scenario.enabled) {
-    const RunResult& governed = factory ? run : base;
+  if (scenario.enabled)
     std::printf("thermal '%s': peak %.1f degC, %d throttle-limited epochs "
                 "(baseline peak %.1f degC, %d limited)\n",
-                scenario.print().c_str(), governed.peak_temp_c,
-                governed.throttle_epochs, base.peak_temp_c,
-                base.throttle_epochs);
-  }
-  if (args.has("harden") && factory) {
+                scenario.print().c_str(), run.peak_temp_c,
+                run.throttle_epochs, base.peak_temp_c, base.throttle_epochs);
+  if (spec.harden && governed) {
     std::printf("hardened governor: %d fallbacks, %d recoveries\n",
                 mode_log.fallbacks(), mode_log.recoveries());
     const auto& events = mode_log.events();
@@ -352,7 +348,7 @@ int cmdRun(const Args& args) {
     if (events.size() > shown)
       std::printf("  ... %zu more transitions\n", events.size() - shown);
   }
-  if (args.has("trace") && factory) {
+  if (args.has("trace") && governed) {
     trace.saveCsv(args.get("trace"));
     std::printf("trace written to %s (%d epochs, %d transitions)\n",
                 args.get("trace").c_str(), trace.epochCount(),
@@ -381,26 +377,13 @@ int cmdRun(const Args& args) {
         .value("workload", args.get("workload"))
         .value("mechanism", mech)
         .value("preset", preset);
-    if (injector != nullptr) {
-      const auto& c = injector->counts();
+    if (fault_spec.active()) {
       w.value("faults", fault_spec.print());
-      w.beginObject("fault_counts")
-          .value("noise", c.noise)
-          .value("dropout", c.dropout)
-          .value("delay", c.delay)
-          .value("failed", c.failed)
-          .value("stuck", c.stuck)
-          .value("jitter", c.jitter)
-          .value("heatsoak", c.heatsoak)
-          .value("tsensor", c.tsensor)
-          .value("tjolt", c.tjolt)
-          .value("total", c.total())
-          .endObject();
+      cell.fault_counts.writeJson(w);
     }
     if (scenario.enabled) w.value("thermal", scenario.print());
-    if (args.has("harden"))
-      w.value("fallbacks", mode_log.fallbacks())
-          .value("recoveries", mode_log.recoveries());
+    if (spec.harden)
+      w.value("fallbacks", cell.fallbacks).value("recoveries", cell.recoveries);
     emit("baseline", base);
     emit("governed", run);
     w.endObject();
@@ -409,35 +392,16 @@ int cmdRun(const Args& args) {
   return 0;
 }
 
-/// The governor factory for record/replay: "baseline" means the
-/// static-default policy (fleet::makeGovernorFactory maps it to "no
-/// governor", which a trace cannot express).
-std::unique_ptr<GovernorFactory> recordReplayFactory(
-    const std::string& mech, const VfTable& vf, double preset,
-    const std::shared_ptr<const SsmModel>& model) {
-  auto factory = fleet::makeGovernorFactory(mech, vf, preset, model);
-  if (factory == nullptr)
-    factory = fleet::makeGovernorFactory(
-        "static-" + std::to_string(vf.defaultLevel()), vf, preset, model);
-  return factory;
-}
-
-std::shared_ptr<const SsmModel> modelFor(const Args& args,
-                                         const std::string& mech) {
-  if (mech.rfind("ssmdvfs", 0) != 0) return nullptr;
-  return std::make_shared<const SsmModel>(loadModel(args.require("model")));
-}
-
 int cmdRecord(const Args& args) {
   const std::string out = args.require("out");
   const std::string mech = args.get("mechanism", "baseline");
-  const double preset = args.getDouble("preset", 0.10);
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 777));
-  const TimeNs max_time_ns = args.getInt("max-ms", 5) * kNsPerMs;
+  const double preset = args.number<double>("preset", 0.10);
+  const auto seed = args.number<std::uint64_t>("seed", 777);
+  const TimeNs max_time_ns = maxTimeNs(args);
 
   GpuConfig gpu;
   if (args.has("clusters")) {
-    gpu.num_clusters = static_cast<int>(args.getInt("clusters", 0));
+    gpu.num_clusters = args.number<int>("clusters", 0);
     SSM_CHECK(gpu.num_clusters >= 1, "--clusters must be >= 1");
   }
   const VfTable vf = VfTable::titanX();
@@ -456,14 +420,15 @@ int cmdRecord(const Args& args) {
                      static_cast<int>(vf.defaultLevel()));
   }
 
-  const auto factory = recordReplayFactory(mech, vf, preset, modelFor(args, mech));
+  const auto factory =
+      fleet::makeGovernorFactory(mech, vf, preset, modelFor(args, mech));
 
   // --keyframe-every N snapshots the full machine every N epochs into the
   // trace (format v3), enabling closed-loop counterfactual replay. Without
   // it (N = 0) no keyframe is captured and the trace bytes are exactly what
   // they always were (v1/v2).
   const auto keyframe_every =
-      static_cast<std::int64_t>(args.getInt("keyframe-every", 0));
+      args.number<std::int64_t>("keyframe-every", 0);
   SSM_CHECK(keyframe_every >= 0, "--keyframe-every must be >= 0");
 
   EpochTraceRecorder recorder;
@@ -504,10 +469,10 @@ int cmdReplay(const Args& args) {
   const engine::EpochTrace trace = engine::loadTrace(path);
   const engine::TraceFileInfo info = engine::traceFileInfo(path);
   const std::string mech = args.get("mechanism", trace.mechanism);
-  const double preset = args.getDouble("preset", 0.10);
+  const double preset = args.number<double>("preset", 0.10);
 
-  const auto factory =
-      recordReplayFactory(mech, trace.vf, preset, modelFor(args, mech));
+  const auto factory = fleet::makeGovernorFactory(mech, trace.vf, preset,
+                                                  modelFor(args, mech));
 
   const bool harden = args.has("harden");
   GovernorModeLog mode_log;
@@ -517,7 +482,7 @@ int cmdReplay(const Args& args) {
   opts.counterfactual = args.has("counterfactual");
   if (args.has("max-extra-epochs"))
     opts.max_extra_epochs =
-        static_cast<std::int64_t>(args.getInt("max-extra-epochs", 64));
+        args.number<std::int64_t>("max-extra-epochs", 64);
   const engine::ReplayReport rep = engine::replayTrace(
       trace, harden ? static_cast<const GovernorFactory&>(hardened) : *factory,
       mech, opts);
@@ -602,7 +567,7 @@ int cmdReplay(const Args& args) {
 int cmdOracle(const Args& args) {
   const GpuConfig gpu;
   Gpu machine(gpu, VfTable::titanX(), resolveWorkload(args),
-              static_cast<std::uint64_t>(args.getInt("seed", 777)),
+              args.number<std::uint64_t>("seed", 777),
               ChipPowerModel(gpu.num_clusters));
   const OracleResult res =
       findBestStaticLevel(machine, OracleObjective::kMinEdp);
@@ -638,8 +603,8 @@ int cmdHwCost(const Args& args) {
 int cmdExplain(const Args& args) {
   const SsmModel model = loadModel(args.require("model"));
   const Dataset ds = Dataset::loadCsv(args.require("data"));
-  const auto row = static_cast<std::size_t>(args.getInt("row", 0));
-  const double preset = args.getDouble("preset", 0.10);
+  const auto row = args.number<std::size_t>("row", 0);
+  const double preset = args.number<double>("preset", 0.10);
   if (row >= ds.size()) {
     std::fprintf(stderr, "row %zu out of range (%zu rows)\n", row, ds.size());
     return 2;
@@ -734,16 +699,22 @@ int cmdQuantize(const Args& args) {
   return 0;
 }
 
-/// Splits "a,b,c" into tokens; empty tokens are dropped.
-std::vector<std::string> splitList(const std::string& s) {
+/// Splits "a,b,c" into tokens; empty tokens are dropped. '|' separates
+/// lists of grammars that use ',' and ';' internally (--faults, --thermal,
+/// --traffic).
+std::vector<std::string> splitList(const std::string& s, char sep = ',') {
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
+  for (const std::string_view token : splitNonEmpty(s, sep))
+    out.emplace_back(token);
+  return out;
+}
+
+/// The strict numbers of the comma-list option `key`, in order.
+template <class T>
+std::vector<T> numberList(const Args& args, const std::string& key) {
+  std::vector<T> out;
+  for (const auto& token : splitList(args.get(key)))
+    out.push_back(Args::numberOf<T>(key, token));
   return out;
 }
 
@@ -782,21 +753,6 @@ std::vector<std::shared_ptr<const engine::EpochTrace>> resolveReplayTraces(
   return traces;
 }
 
-/// Splits a '|'-separated list (the separator for grammars that use ','
-/// and ';' internally, like --faults, --thermal and --traffic). Empty
-/// segments drop.
-std::vector<std::string> splitBarList(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t bar = s.find('|', start);
-    if (bar == std::string::npos) bar = s.size();
-    if (bar > start) out.push_back(s.substr(start, bar - start));
-    start = bar + 1;
-  }
-  return out;
-}
-
 int cmdSweep(const Args& args) {
   fleet::SweepSpec spec;
   if (args.has("replay")) {
@@ -819,33 +775,24 @@ int cmdSweep(const Args& args) {
     spec.workloads = resolveSweepWorkloads(args.require("workloads"));
   }
   spec.mechanisms = splitList(args.require("mechanisms"));
-  if (args.has("presets")) {
-    spec.presets.clear();
-    for (const auto& p : splitList(args.get("presets")))
-      spec.presets.push_back(std::atof(p.c_str()));
-  }
-  if (args.has("seeds")) {
-    spec.seeds.clear();
-    for (const auto& s : splitList(args.get("seeds")))
-      spec.seeds.push_back(
-          static_cast<std::uint64_t>(std::atoll(s.c_str())));
-  }
+  if (args.has("presets")) spec.presets = numberList<double>(args, "presets");
+  if (args.has("seeds")) spec.seeds = numberList<std::uint64_t>(args, "seeds");
   if (args.has("faults")) {
     // "none" is the clean cell.
     std::vector<faults::FaultSpec> cells;
-    for (const auto& f : splitBarList(args.get("faults")))
+    for (const auto& f : splitList(args.get("faults"), '|'))
       cells.push_back(faults::FaultSpec::parse(f));
     if (!cells.empty()) spec.faults = std::move(cells);
   }
   if (args.has("thermal")) {
     // The literal "none" is the cell without thermal physics.
     std::vector<thermal::ThermalScenario> cells;
-    for (const auto& t : splitBarList(args.get("thermal")))
+    for (const auto& t : splitList(args.get("thermal"), '|'))
       cells.push_back(thermal::ThermalScenario::parse(t));
     if (!cells.empty()) spec.thermal = std::move(cells);
   }
   spec.harden = args.has("harden");
-  spec.max_time_ns = args.getInt("max-ms", 5) * kNsPerMs;
+  spec.max_time_ns = maxTimeNs(args);
   bool needs_model = false;
   for (const auto& m : spec.mechanisms)
     if (m.rfind("ssmdvfs", 0) == 0) needs_model = true;
@@ -853,7 +800,7 @@ int cmdSweep(const Args& args) {
     spec.model =
         std::make_shared<const SsmModel>(loadModel(args.require("model")));
 
-  const int jobs = static_cast<int>(args.getInt("jobs", 1));
+  const int jobs = args.number<int>("jobs", 1);
   SSM_CHECK(jobs >= 1, "--jobs must be >= 1");
   ThreadPool pool(jobs);
   const fleet::FleetRunner runner(spec, pool);
@@ -891,25 +838,23 @@ int cmdSweep(const Args& args) {
 int cmdDc(const Args& args) {
   dc::DcSweepSpec spec;
   dc::RackSpec& base = spec.base;
-  base.gpus = static_cast<int>(args.getInt("gpus", 16));
+  base.gpus = args.number<int>("gpus", 16);
   SSM_CHECK(base.gpus >= 1, "--gpus must be >= 1");
   base.mix = resolveSweepWorkloads(args.get("mix", "eval"));
-  base.idle_power_w = args.getDouble("idle-power", 45.0);
+  base.idle_power_w = args.number<double>("idle-power", 45.0);
   base.epochs_per_round =
-      static_cast<int>(args.getInt("epochs-per-round", 5));
-  base.max_rounds = static_cast<int>(args.getInt("max-rounds", 20000));
-  base.warmup_rounds = static_cast<int>(args.getInt("warmup-rounds", 10));
-  base.preset = args.getDouble("preset", 0.10);
-  base.seed = static_cast<std::uint64_t>(args.getInt("seed", 777));
+      args.number<int>("epochs-per-round", 5);
+  base.max_rounds = args.number<int>("max-rounds", 20000);
+  base.warmup_rounds = args.number<int>("warmup-rounds", 10);
+  base.preset = args.number<double>("preset", 0.10);
+  base.seed = args.number<std::uint64_t>("seed", 777);
   // Default rack budget: a deliberately binding 120 W per chip (the chip
   // default cap is 180 W), so the hierarchical controller has work to do.
   base.power.rack_cap_w = 120.0 * base.gpus;
 
   if (args.has("faults"))
     base.fault = faults::FaultSpec::parse(args.get("faults"));
-  if (args.has("degraded"))
-    for (const auto& id : splitList(args.get("degraded")))
-      base.degraded.push_back(std::atoi(id.c_str()));
+  if (args.has("degraded")) base.degraded = numberList<int>(args, "degraded");
   SSM_CHECK(base.degraded.empty() || base.fault.active(),
             "--degraded needs an active --faults scenario");
   if (args.has("thermal"))
@@ -917,7 +862,7 @@ int cmdDc(const Args& args) {
 
   if (args.has("traffic")) {
     spec.traffic.clear();
-    for (const auto& t : splitBarList(args.get("traffic")))
+    for (const auto& t : splitList(args.get("traffic"), '|'))
       spec.traffic.push_back(dc::TrafficSpec::parse(t));
     SSM_CHECK(!spec.traffic.empty(), "--traffic resolved to an empty list");
   }
@@ -929,22 +874,16 @@ int cmdDc(const Args& args) {
     spec.policies = {dc::parseDispatchPolicy(args.get("policy"))};
   }
   if (args.has("rack-caps")) {
-    spec.rack_caps_w.clear();
-    for (const auto& c : splitList(args.get("rack-caps")))
-      spec.rack_caps_w.push_back(std::atof(c.c_str()));
+    spec.rack_caps_w = numberList<double>(args, "rack-caps");
   } else if (args.has("rack-cap")) {
-    spec.rack_caps_w = {args.getDouble("rack-cap", base.power.rack_cap_w)};
+    spec.rack_caps_w = {args.number<double>("rack-cap", base.power.rack_cap_w)};
   }
   if (args.has("mechanisms")) {
     spec.mechanisms = splitList(args.get("mechanisms"));
   } else if (args.has("mechanism")) {
     spec.mechanisms = {args.get("mechanism")};
   }
-  if (args.has("seeds")) {
-    spec.seeds.clear();
-    for (const auto& s : splitList(args.get("seeds")))
-      spec.seeds.push_back(static_cast<std::uint64_t>(std::atoll(s.c_str())));
-  }
+  if (args.has("seeds")) spec.seeds = numberList<std::uint64_t>(args, "seeds");
   bool needs_model = base.mechanism.rfind("ssmdvfs", 0) == 0;
   for (const auto& m : spec.mechanisms)
     if (m.rfind("ssmdvfs", 0) == 0) needs_model = true;
@@ -952,7 +891,7 @@ int cmdDc(const Args& args) {
     base.model =
         std::make_shared<const SsmModel>(loadModel(args.require("model")));
 
-  const int jobs = static_cast<int>(args.getInt("jobs", 1));
+  const int jobs = args.number<int>("jobs", 1);
   SSM_CHECK(jobs >= 1, "--jobs must be >= 1");
   ThreadPool pool(jobs);
   const dc::DcSweepRunner runner(spec, pool);
