@@ -40,12 +40,6 @@ std::uint64_t Rng::nextBelow(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::nextInRange(std::int64_t lo, std::int64_t hi) noexcept {
-  if (hi <= lo) return lo;
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
 double Rng::nextGaussian() noexcept {
   if (has_spare_) {
     has_spare_ = false;

@@ -76,9 +76,6 @@ class Rng {
   /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
   std::uint64_t nextBelow(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t nextInRange(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// true with probability p (clamped to [0,1]).
   bool nextBernoulli(double p) noexcept {
     if (p <= 0.0) return false;

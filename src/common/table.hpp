@@ -23,11 +23,6 @@ class Table {
   /// Appends a data row; width must match the header.
   Table& addRow(std::vector<std::string> cells);
 
-  [[nodiscard]] std::size_t rowCount() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t columnCount() const noexcept {
-    return header_.size();
-  }
-
   /// Renders as an aligned ASCII table.
   void print(std::ostream& os) const;
 

@@ -91,7 +91,6 @@ class HardenedGovernor final : public DvfsGovernor {
   void reset() override;
 
   [[nodiscard]] GovernorMode mode() const noexcept { return mode_; }
-  [[nodiscard]] std::int64_t epochsSeen() const noexcept { return epoch_; }
 
  private:
   /// Empty string = plausible; otherwise the failed check's name.

@@ -45,6 +45,7 @@ class PowerCapController {
 
   [[nodiscard]] double preset() const noexcept { return preset_; }
   [[nodiscard]] double cap() const noexcept { return cfg_.cap_w; }
+  [[nodiscard]] double presetMax() const noexcept { return cfg_.preset_max; }
   [[nodiscard]] int violations() const noexcept { return violations_; }
   [[nodiscard]] int epochs() const noexcept { return epochs_; }
   void reset();

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "engine/epoch_loop.hpp"
+#include "engine/power_capped_source.hpp"
 
 namespace ssm::dc {
 
@@ -13,6 +16,27 @@ namespace {
 /// Salts separating the per-job streams hanging off the rack seed.
 constexpr std::uint64_t kJobSimSalt = 0xDC51;
 constexpr std::uint64_t kJobFaultSalt = 0xDCFA;
+
+/// The rail-level backstop, applied after the loop's governor, throttle and
+/// actuator-fault arbitration: the epoch's effective preset decodes into a
+/// hard V/f ceiling for every mechanism (preset 0 → no clamp, preset_max →
+/// the slowest level, equal bands per level step in between).
+struct CeilingSink final : engine::ActuationSink {
+  explicit CeilingSink(const engine::PowerCappedSource& capped)
+      : source(capped) {}
+  VfLevel actuate(int /*cluster_id*/, VfLevel commanded,
+                  VfLevel /*current*/) override {
+    const VfLevel top = source.vfTable().defaultLevel();
+    const double preset_max = source.controller.presetMax();
+    const double frac =
+        preset_max > 0.0
+            ? std::clamp(source.effective_preset / preset_max, 0.0, 1.0)
+            : 0.0;
+    return std::min(commanded,
+                    top - static_cast<VfLevel>(std::lround(frac * top)));
+  }
+  const engine::PowerCappedSource& source;
+};
 
 }  // namespace
 
@@ -26,7 +50,6 @@ GpuNode::GpuNode(const Init& init)
       rack_seed_(init.rack_seed),
       fault_(init.fault),
       cap_(init.cap),
-      preset_max_(init.cap.preset_max),
       thermal_(init.thermal) {
   SSM_CHECK(gpu_cfg_ != nullptr && vf_ != nullptr && mix_ != nullptr &&
                 factory_ != nullptr,
@@ -34,14 +57,12 @@ GpuNode::GpuNode(const Init& init)
             "factory");
   SSM_CHECK(!mix_->empty(), "GpuNode mix must be non-empty");
   SSM_CHECK(idle_power_w_ >= 0.0, "idle power must be non-negative");
-  fault_active_ = fault_ != nullptr && fault_->active();
-  thermal_enabled_ = thermal_ != nullptr && thermal_->enabled;
-  if (thermal_enabled_) {
-    idle_thermal_.emplace(thermal_->params, init.gpu->num_clusters);
-    throttle_.emplace(thermal_->throttle, init.gpu->num_clusters,
-                      static_cast<int>(init.vf->defaultLevel()));
-    zero_power_w_.assign(static_cast<std::size_t>(init.gpu->num_clusters),
-                         0.0);
+  if (fault_ != nullptr && !fault_->active()) fault_ = nullptr;  // clean chip
+  const int n = gpu_cfg_->num_clusters;
+  if (thermal_ != nullptr) throttle_ = thermal_->makeThrottle(*vf_, n);
+  if (throttle_) {
+    idle_thermal_.emplace(thermal_->params, n);
+    zero_power_w_.assign(static_cast<std::size_t>(n), 0.0);
     peak_temp_c_ = thermal_->params.ambient_c;
   }
 
@@ -50,17 +71,12 @@ GpuNode::GpuNode(const Init& init)
 
   // Governors are built once and reset() between jobs (the RL-style
   // contract of DvfsGovernor::reset). The soft-preset side channel is
-  // resolved once here so the per-epoch loop costs a null check, not a
-  // dynamic_cast.
-  const int n = gpu_cfg_->num_clusters;
-  governors_.reserve(static_cast<std::size_t>(n));
-  presetable_.reserve(static_cast<std::size_t>(n));
+  // resolved once here, not by a dynamic_cast per epoch.
+  governors_ = engine::makeGovernors(*factory_, n);
   levels_.assign(static_cast<std::size_t>(n), vf_->defaultLevel());
-  for (int i = 0; i < n; ++i) {
-    std::unique_ptr<DvfsGovernor> gov = factory_->create(i);
-    presetable_.push_back(dynamic_cast<SsmdvfsGovernor*>(gov.get()));
-    governors_.push_back(std::move(gov));
-  }
+  for (const auto& gov : governors_)
+    if (auto* ssm = dynamic_cast<SsmdvfsGovernor*>(gov.get()))
+      presetable_.push_back(ssm);
 }
 
 void GpuNode::enqueue(const JobSpec& job) {
@@ -86,16 +102,6 @@ void GpuNode::setRoundCap(double cap_w, double rack_bias) {
   rack_bias_ = rack_bias;
 }
 
-VfLevel GpuNode::ceilingForPreset(double preset) const noexcept {
-  // preset 0 → no clamp; preset_max → pinned at the slowest level. The
-  // rounding splits [0, preset_max] into equal bands per level step.
-  const VfLevel max_level = vf_->defaultLevel();
-  if (preset_max_ <= 0.0) return max_level;
-  const double frac = std::clamp(preset / preset_max_, 0.0, 1.0);
-  return max_level -
-         static_cast<VfLevel>(std::lround(frac * max_level));
-}
-
 void GpuNode::startNextJob() {
   if (queue_count_ == 0) return;
   std::size_t best = 0;
@@ -119,7 +125,7 @@ void GpuNode::startNextJob() {
       Rng(rack_seed_).fork(kJobSimSalt).fork(job.id).nextU64();
   Gpu machine((*gpu_cfg_), *vf_, (*mix_)[job.workload], sim_seed,
               ChipPowerModel(gpu_cfg_->num_clusters));
-  if (thermal_enabled_) {
+  if (idle_thermal_) {
     // The job inherits the node temperatures the idle model carried —
     // back-to-back jobs start hot, a long-idle chip starts cooled down.
     machine.attachThermal(thermal_->params);
@@ -129,7 +135,7 @@ void GpuNode::startNextJob() {
 
   for (auto& gov : governors_) gov->reset();
   std::fill(levels_.begin(), levels_.end(), vf_->defaultLevel());
-  if (fault_active_)
+  if (fault_ != nullptr)
     injector_ = std::make_unique<faults::FaultInjector>(
         *fault_, Rng(rack_seed_)
                      .fork(kJobFaultSalt)
@@ -141,7 +147,7 @@ void GpuNode::startNextJob() {
 void GpuNode::finishJob() {
   // Hand the die temperatures back to the idle model so heat soaks across
   // job boundaries instead of resetting to ambient.
-  if (thermal_enabled_) idle_thermal_->setState(sim_->gpu().thermalState());
+  if (idle_thermal_) idle_thermal_->setState(sim_->gpu().thermalState());
   active_.finish_ns = now_ns_;
   active_.completed = true;
   active_.missed = active_.finish_ns > active_.deadline_ns;
@@ -158,18 +164,16 @@ void GpuNode::finishJob() {
 
 NodeRoundStats GpuNode::advance(int epochs) {
   NodeRoundStats stats;
-  const double epoch_s =
-      static_cast<double>(gpu_cfg_->epoch_ns) / 1e9;
-  for (int e = 0; e < epochs; ++e) {
+  const double epoch_s = static_cast<double>(gpu_cfg_->epoch_ns) / 1e9;
+  while (stats.epochs < epochs) {
     if (!sim_.has_value()) startNextJob();
     if (!sim_.has_value()) {
       // Idle epoch: the rail still burns the floor, the chip loop still
       // integrates (so the preset relaxes and the cap ledger stays honest).
       stats.power_sum_w += idle_power_w_;
       idle_energy_j_ += idle_power_w_ * epoch_s;
-      stats.cap_violations += idle_power_w_ > cap_.cap();
       static_cast<void>(cap_.onEpoch(idle_power_w_));
-      if (thermal_enabled_) {
+      if (idle_thermal_) {
         // The die cools toward ambient under the rail floor; the throttle
         // keeps observing so it can recover while the chip is quiet.
         idle_thermal_->step(zero_power_w_, idle_power_w_, gpu_cfg_->epoch_ns);
@@ -181,46 +185,26 @@ NodeRoundStats GpuNode::advance(int epochs) {
       continue;
     }
 
-    GpuEpochReport report = sim_->nextEpoch(levels_);
-    if (thermal_enabled_) {
-      // Physical peak, scanned before fault corruption touches the sensors.
-      peak_temp_c_ = std::max(peak_temp_c_, report.package_temp_c);
-      for (const double t : report.cluster_temps_c)
-        peak_temp_c_ = std::max(peak_temp_c_, t);
-    }
-    if (injector_ != nullptr) injector_->onTelemetry(report);
-    // The throttle reads the (possibly fault-corrupted) sensor view, like
-    // real protection hardware behind a flaky sensor bus.
-    if (thermal_enabled_)
-      throttle_->observe(report.cluster_temps_c, report.package_temp_c);
-    stats.power_sum_w += report.chip_power_w;
-    stats.cap_violations += report.chip_power_w > cap_.cap();
-    ++stats.busy_epochs;
-    ++busy_epochs_;
-
-    // Chip integral loop + rack bias → effective preset for the epoch.
-    const double chip_preset = cap_.onEpoch(report.chip_power_w);
-    const double eff_preset = std::min(chip_preset + rack_bias_, preset_max_);
-    const VfLevel ceiling = ceilingForPreset(eff_preset);
-    const int n = gpu_cfg_->num_clusters;
-    for (int i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      if (presetable_[u] != nullptr)
-        presetable_[u]->setLossPreset(std::max(eff_preset, 1e-6));
-      const EpochObservation& obs = report.clusters[u];
-      VfLevel requested = vf_->clamp(governors_[u]->decide(obs));
-      if (injector_ != nullptr)
-        requested = injector_->onActuate(i, requested, obs.level);
-      // Rail-level backstop: the cap ceiling binds after governor and
-      // fault arbitration, for every mechanism; the thermal throttle
-      // composes on top as a second hardware limiter.
-      levels_[u] = std::min(requested, ceiling);
-      if (thermal_enabled_) levels_[u] = throttle_->clamp(i, levels_[u]);
-    }
-
-    ++stats.epochs;
-    now_ns_ += gpu_cfg_->epoch_ns;
-    if (report.all_done) finishJob();
+    // The active job runs on the one epoch loop until it retires or the
+    // round ends. The capped source feeds the chip loop and rack bias into
+    // the presets; the sink applies their V/f ceiling last.
+    engine::PowerCappedSource capped(*sim_, cap_, rack_bias_, presetable_);
+    capped.power_sum_w = stats.power_sum_w;  // one sum, in epoch order
+    CeilingSink sink(capped);
+    const engine::EpochLoop loop(
+        {.max_time_ns = std::numeric_limits<TimeNs>::max(),
+         .max_epochs = epochs - stats.epochs,
+         .levels_io = &levels_,
+         .faults = injector_.get(),
+         .throttle = throttle_ ? &*throttle_ : nullptr});
+    const RunResult run = loop.run(capped, sink, governors_, "");
+    stats.power_sum_w = capped.power_sum_w;
+    stats.epochs += run.epochs;
+    stats.busy_epochs += run.epochs;
+    busy_epochs_ += run.epochs;
+    now_ns_ += run.epochs * gpu_cfg_->epoch_ns;
+    peak_temp_c_ = std::max(peak_temp_c_, run.peak_temp_c);
+    if (sim_->done()) finishJob();
   }
   return stats;
 }

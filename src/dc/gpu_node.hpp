@@ -1,21 +1,21 @@
-// One GPU of the rack: queue, governors, per-chip power-cap loop, and the
-// per-epoch decision loop over a live SimBackend.
+// One GPU of the rack: a job queue, governors and a per-chip power-cap
+// loop, running each job on engine::EpochLoop.
 //
-// Each node is an independent simulation domain — its own Gpu per job, its
-// own governor instances, its own PowerCapController, its own (optional)
-// FaultInjector — sharing only immutable inputs with its siblings. Nodes
-// advance in lockstep control rounds: the rack loop calls advance(R) on
-// every node (in parallel, one node per task slot) and recomputes caps in
-// between. Every random draw is keyed off (rack seed, job id) coordinates,
-// so a job simulates identically no matter which GPU runs it, in which
-// round it starts, or how many worker threads the pool has.
+// Each node is an independent simulation domain — its own Gpu per job,
+// governors, PowerCapController and (optional) FaultInjector — sharing only
+// immutable inputs with its siblings. The rack calls advance(R) on every
+// node in lockstep rounds (in parallel, one node per task slot) and
+// recomputes caps in between. Every random draw is keyed off (rack seed,
+// job id), so a job simulates identically on any GPU, in any round, at any
+// pool size.
 //
-// The per-GPU cap is enforced two ways each epoch: the chip's integral
-// controller schedules a loss preset (soft — SSMDVFS-family governors aim
-// for it via setLossPreset), and the effective preset (chip preset + rack
-// bias) is decoded into a hard V/f ceiling applied after governor and fault
-// arbitration — the rail-level backstop that works for every mechanism and
-// that faults cannot push past.
+// A job's epochs within a round are one bounded EpochLoop run, arbitrated
+// like every other run: governor, the node's persistent thermal throttle,
+// actuator faults, then the cap. An engine::PowerCappedSource feeds chip
+// power to the chip's integral controller and hands the effective preset
+// (chip preset + rack bias) to SSMDVFS-family governors; the node's sink
+// decodes that preset into a hard V/f ceiling, applied last for every
+// mechanism, so faults cannot push past it.
 #pragma once
 
 #include <memory>
@@ -48,6 +48,7 @@ struct JobOutcome {
   std::int64_t instructions = 0;
   bool completed = false;
   bool missed = false;  ///< finished late, or never finished
+  friend bool operator==(const JobOutcome&, const JobOutcome&) = default;
 };
 
 /// What one node did during one control round.
@@ -55,7 +56,6 @@ struct NodeRoundStats {
   double power_sum_w = 0.0;  ///< Σ per-epoch chip power (idle epochs too)
   int epochs = 0;
   int busy_epochs = 0;
-  int cap_violations = 0;  ///< epochs over the node's current cap
 };
 
 class GpuNode {
@@ -92,7 +92,7 @@ class GpuNode {
   /// Estimated remaining work: queued service estimates plus what is left
   /// of the active job's estimate (never less than one epoch while busy).
   [[nodiscard]] TimeNs backlogNs() const noexcept;
-  [[nodiscard]] bool degraded() const noexcept { return fault_active_; }
+  [[nodiscard]] bool degraded() const noexcept { return fault_ != nullptr; }
 
   /// Retargets the chip cap and rack bias for the coming round.
   void setRoundCap(double cap_w, double rack_bias);
@@ -104,9 +104,6 @@ class GpuNode {
   // --- results (read after the rack loop finishes) -----------------------
   [[nodiscard]] std::span<const JobOutcome> outcomes() const noexcept {
     return completed_;
-  }
-  [[nodiscard]] int jobsRun() const noexcept {
-    return static_cast<int>(completed_.size());
   }
   [[nodiscard]] std::int64_t busyEpochs() const noexcept {
     return busy_epochs_;
@@ -125,15 +122,11 @@ class GpuNode {
   [[nodiscard]] std::int64_t throttleEpochs() const noexcept {
     return throttle_ ? throttle_->throttleEpochs() : 0;
   }
-  [[nodiscard]] TimeNs nowNs() const noexcept { return now_ns_; }
 
  private:
   /// Pops the queue's best job (priority-EDF) and boots a fresh Gpu for it.
   void startNextJob();
   void finishJob();
-  /// Decodes the effective preset into a hard V/f ceiling (preset 0 → no
-  /// clamp, preset_max → slowest level).
-  [[nodiscard]] VfLevel ceilingForPreset(double preset) const noexcept;
 
   int gpu_id_;
   const GpuConfig* gpu_cfg_;
@@ -142,11 +135,9 @@ class GpuNode {
   const GovernorFactory* factory_;
   double idle_power_w_;
   std::uint64_t rack_seed_;
-  const faults::FaultSpec* fault_;
-  bool fault_active_ = false;
+  const faults::FaultSpec* fault_;  ///< null unless the node is degraded
 
   PowerCapController cap_;
-  double preset_max_;  ///< cap config bound, decoded into the V/f ceiling
   double rack_bias_ = 0.0;
 
   // Queue: preallocated slots, swap-remove on pop (the priority-EDF scan
@@ -159,7 +150,7 @@ class GpuNode {
   JobOutcome active_;
   TimeNs active_est_ns_ = 0;  ///< dispatcher's service estimate for it
   std::vector<std::unique_ptr<DvfsGovernor>> governors_;
-  std::vector<SsmdvfsGovernor*> presetable_;  ///< soft-preset path (or null)
+  std::vector<SsmdvfsGovernor*> presetable_;  ///< the soft-preset path
   std::vector<VfLevel> levels_;
   std::unique_ptr<faults::FaultInjector> injector_;
 
@@ -169,7 +160,6 @@ class GpuNode {
   // idle epochs integrate cooling under the rail floor. The throttle is one
   // persistent state machine per node, observing across job boundaries.
   const thermal::ThermalScenario* thermal_ = nullptr;
-  bool thermal_enabled_ = false;
   std::optional<thermal::ThermalModel> idle_thermal_;
   std::optional<thermal::ThermalThrottle> throttle_;
   std::vector<double> zero_power_w_;  ///< idle clusters draw no dynamic power

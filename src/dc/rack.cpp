@@ -184,7 +184,7 @@ RackResult runRack(const RackSpec& spec, ThreadPool* pool) {
     out.throttle_epochs += node->throttleEpochs();
     GpuNodeSummary s;
     s.gpu_id = static_cast<int>(out.nodes.size());
-    s.jobs_run = node->jobsRun();
+    s.jobs_run = static_cast<int>(node->outcomes().size());
     s.busy_epochs = node->busyEpochs();
     s.energy_j = node->energyJ();
     s.final_cap_w = node->capW();

@@ -67,6 +67,8 @@ struct GpuNodeSummary {
   double energy_j = 0.0;
   double final_cap_w = 0.0;
   bool degraded = false;
+  friend bool operator==(const GpuNodeSummary&,
+                         const GpuNodeSummary&) = default;
 };
 
 struct RackResult {
@@ -103,6 +105,7 @@ struct RackResult {
   double peak_temp_c = 0.0;
   std::int64_t throttle_epochs = 0;
   std::vector<GpuNodeSummary> nodes;
+  friend bool operator==(const RackResult&, const RackResult&) = default;
 };
 
 /// Runs one rack to completion (all jobs served) or `max_rounds`. `pool`

@@ -62,7 +62,6 @@ class RackPowerCoordinator {
   [[nodiscard]] double capFor(int gpu) const { return caps_[gpu]; }
   /// Fleet-wide preset bias from the rack integral loop.
   [[nodiscard]] double rackBias() const noexcept { return rack_.preset(); }
-  [[nodiscard]] double rackCap() const noexcept { return cfg_.rack_cap_w; }
   [[nodiscard]] int rounds() const noexcept { return rack_.epochs(); }
   /// Rounds whose mean rack power exceeded the rack cap.
   [[nodiscard]] int violationRounds() const noexcept {

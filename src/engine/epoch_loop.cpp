@@ -154,7 +154,8 @@ RunResult EpochLoop::run(
               : vf.clamp(governors[static_cast<std::size_t>(i)]->decide(obs));
       // Arbitration order mirrors hardware: the protection firmware caps
       // the governor's request, then the actuator (fault seam) may still
-      // fail or stick the transition downstream of it.
+      // fail or stick the transition downstream of it. A rack node's sink
+      // then applies its power-cap V/f ceiling last (dc::GpuNode).
       if (cfg_.throttle != nullptr)
         requested = cfg_.throttle->clamp(i, requested);
       const VfLevel commanded =

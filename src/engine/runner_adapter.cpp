@@ -14,48 +14,16 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "core/power_cap.hpp"
 #include "engine/epoch_loop.hpp"
+#include "engine/power_capped_source.hpp"
 #include "engine/sim_backend.hpp"
 
 namespace ssm {
-namespace {
-
-/// Forwards a source's epochs, feeding each one's chip power to the cap
-/// controller and handing the preset it schedules to the governors before
-/// they decide on that epoch.
-struct PowerCappedSource final : engine::EpochSource {
-  PowerCappedSource(engine::EpochSource& in, PowerCapController& ctl)
-      : inner(in), controller(ctl) {}
-
-  const VfTable& vfTable() const noexcept override { return inner.vfTable(); }
-  int numClusters() const noexcept override { return inner.numClusters(); }
-  bool done() const noexcept override { return inner.done(); }
-  TimeNs nowNs() const noexcept override { return inner.nowNs(); }
-  engine::StreamStats stats() const override { return inner.stats(); }
-  GpuEpochReport nextEpoch(std::span<const VfLevel> levels) override {
-    GpuEpochReport report = inner.nextEpoch(levels);
-    max_power_w = std::max(max_power_w, report.chip_power_w);
-    over_cap += report.chip_power_w > controller.cap();
-    const double preset =
-        std::max(controller.onEpoch(report.chip_power_w), 1e-6);
-    for (SsmdvfsGovernor* gov : governors) gov->setLossPreset(preset);
-    return report;
-  }
-
-  engine::EpochSource& inner;
-  PowerCapController& controller;
-  std::vector<SsmdvfsGovernor*> governors;
-  double max_power_w = 0.0;
-  int over_cap = 0;
-};
-
-}  // namespace
 
 RunResult runWithGovernor(Gpu gpu, const GovernorFactory& factory,
                           std::string mechanism_name, TimeNs max_time_ns,
@@ -130,13 +98,14 @@ PowerCapRunResult runWithPowerCap(Gpu gpu,
   governor_cfg.loss_preset = std::max(controller.preset(), 1e-6);
 
   engine::SimBackend backend(std::move(gpu));
-  PowerCappedSource source(backend, controller);
   std::vector<std::unique_ptr<DvfsGovernor>> governors;
+  std::vector<SsmdvfsGovernor*> presetable;
   for (int i = 0; i < backend.numClusters(); ++i) {
     auto gov = std::make_unique<SsmdvfsGovernor>(model, governor_cfg);
-    source.governors.push_back(gov.get());
+    presetable.push_back(gov.get());
     governors.push_back(std::move(gov));
   }
+  engine::PowerCappedSource source(backend, controller, 0.0, presetable);
   engine::LoopConfig cfg;
   cfg.max_time_ns = max_time_ns;
   cfg.timeout_message = "capped run did not retire; raise max_time_ns";
@@ -148,7 +117,7 @@ PowerCapRunResult runWithPowerCap(Gpu gpu,
   out.max_power_w = source.max_power_w;
   out.violation_frac =
       out.run.epochs > 0
-          ? static_cast<double>(source.over_cap) / out.run.epochs
+          ? static_cast<double>(controller.violations()) / out.run.epochs
           : 0.0;
   out.final_preset = controller.preset();
   return out;

@@ -79,10 +79,6 @@ class FaultInjector final : public EpochFaultHook {
                     VfLevel current) override;
 
   [[nodiscard]] const FaultCounts& counts() const noexcept { return counts_; }
-  [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
-
-  /// Epochs observed so far (== the epoch index the NEXT onTelemetry gets).
-  [[nodiscard]] std::int64_t epochsSeen() const noexcept { return epoch_ + 1; }
 
  private:
   /// Independent stream per (purpose, epoch, cluster).

@@ -26,16 +26,22 @@ namespace {
   return std::abs(sum - 1.0) <= 1e-9 || sum <= 1e-12;
 }
 
+/// A layer width as a size, refused before anything is sized by it (a
+/// negative width would otherwise become a huge allocation).
+std::size_t positiveDim(int dim) {
+  SSM_CHECK(dim > 0, "layer dims must be positive");
+  return static_cast<std::size_t>(dim);
+}
+
 }  // namespace
 
 DenseLayer::DenseLayer(int in_dim, int out_dim, Rng& rng)
     : in_dim_(in_dim),
       out_dim_(out_dim),
-      w_(static_cast<std::size_t>(out_dim), static_cast<std::size_t>(in_dim)),
+      w_(positiveDim(out_dim), positiveDim(in_dim)),  // checked first
       mask_(static_cast<std::size_t>(out_dim), static_cast<std::size_t>(in_dim),
             1.0),
       b_(static_cast<std::size_t>(out_dim), 0.0) {
-  SSM_CHECK(in_dim > 0 && out_dim > 0, "layer dims must be positive");
   // He initialisation, appropriate for ReLU networks.
   const double scale = std::sqrt(2.0 / static_cast<double>(in_dim));
   for (double& w : w_.flat()) w = rng.nextGaussian(0.0, scale);
@@ -148,14 +154,6 @@ std::int64_t Mlp::denseFlops() const noexcept {
     total += layer.outDim();                              // bias adds
     if (l + 1 < layers_.size()) total += layer.outDim();  // hidden ReLUs
   }
-  return total;
-}
-
-std::int64_t Mlp::parameterCount() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& layer : layers_)
-    total += static_cast<std::int64_t>(layer.weights().size()) +
-             static_cast<std::int64_t>(layer.bias().size());
   return total;
 }
 

@@ -88,9 +88,6 @@ class Mlp {
   /// is the compute fraction the packed engine's CSR lowering can recover.
   [[nodiscard]] std::int64_t denseFlops() const noexcept;
 
-  /// Total (unmasked) parameter count.
-  [[nodiscard]] std::int64_t parameterCount() const noexcept;
-
   /// Fraction of weights whose mask is zero.
   [[nodiscard]] double sparsity() const noexcept;
 

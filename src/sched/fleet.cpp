@@ -217,16 +217,11 @@ SweepResult runCell(const SweepSpec& spec, const SweepJob& job,
   // network and leakage feedback. Each run gets its own throttle instance
   // (the state machine is per-run, like the governors).
   const thermal::ThermalScenario& scenario = spec.thermal[job.thermal];
-  std::optional<thermal::ThermalThrottle> baseline_throttle;
-  std::optional<thermal::ThermalThrottle> governed_throttle;
-  if (scenario.enabled) {
-    machine.attachThermal(scenario.params);
-    const int max_level = static_cast<int>(spec.vf.defaultLevel());
-    baseline_throttle.emplace(scenario.throttle, spec.gpu.num_clusters,
-                              max_level);
-    governed_throttle.emplace(scenario.throttle, spec.gpu.num_clusters,
-                              max_level);
-  }
+  std::optional<thermal::ThermalThrottle> baseline_throttle =
+      scenario.makeThrottle(spec.vf, spec.gpu.num_clusters);
+  std::optional<thermal::ThermalThrottle> governed_throttle =
+      scenario.makeThrottle(spec.vf, spec.gpu.num_clusters);
+  if (scenario.enabled) machine.attachThermal(scenario.params);
 
   SweepResult out;
   out.job = job;

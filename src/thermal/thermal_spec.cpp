@@ -118,4 +118,14 @@ std::string ThermalScenario::print() const {
   return out.empty() ? "on" : out;
 }
 
+std::optional<ThermalThrottle> ThermalScenario::makeThrottle(
+    const VfTable& vf, int num_clusters) const {
+  if (!enabled) return std::nullopt;
+  if (throttle.floor_level > vf.defaultLevel())
+    specError("floor=" + std::to_string(throttle.floor_level) +
+              " lies above the V/f table's top level " +
+              std::to_string(vf.defaultLevel()));
+  return ThermalThrottle(throttle, num_clusters, vf.defaultLevel());
+}
+
 }  // namespace ssm::thermal

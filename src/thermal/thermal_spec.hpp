@@ -19,9 +19,11 @@
 // differ from the defaults, "on" when none do, "none" when disabled.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "power/vf_table.hpp"
 #include "thermal/thermal_model.hpp"
 #include "thermal/thermal_throttle.hpp"
 
@@ -42,6 +44,12 @@ struct ThermalScenario {
 
   /// Parses the grammar above; throws ssm::DataError on malformed input.
   [[nodiscard]] static ThermalScenario parse(std::string_view text);
+
+  /// One run's throttle over `vf` (std::nullopt when disabled). The
+  /// grammar cannot know the table, so a `floor` above vf.defaultLevel()
+  /// is refused here, as ssm::DataError.
+  [[nodiscard]] std::optional<ThermalThrottle> makeThrottle(
+      const VfTable& vf, int num_clusters) const;
 };
 
 }  // namespace ssm::thermal

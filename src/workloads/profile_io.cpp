@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/parse.hpp"
+
 namespace ssm {
 
 namespace {
@@ -15,32 +17,36 @@ namespace {
   throw DataError("profile line " + std::to_string(line_no) + ": " + msg);
 }
 
-/// Parses "key=value key=value ..." into a map; throws on duplicates.
-std::map<std::string, double> parsePairs(const std::string& rest,
-                                         std::size_t line_no) {
-  std::map<std::string, double> out;
+/// `text` as a T: the whole token, in range and finite (common/parse.hpp).
+template <class T>
+T number(const std::string& key, const std::string& text, std::size_t line_no) {
+  const auto value = parseNumber<T>(text);
+  if (!value) fail(line_no, "bad numeric value " + key + "='" + text + "'");
+  return *value;
+}
+
+/// Splits "key=value key=value ..." into a map; throws on duplicates.
+std::map<std::string, std::string> parsePairs(const std::string& rest,
+                                              std::size_t line_no) {
+  std::map<std::string, std::string> out;
   std::istringstream ss(rest);
   std::string token;
   while (ss >> token) {
     const auto eq = token.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size())
       fail(line_no, "expected key=value, got '" + token + "'");
-    const std::string key = token.substr(0, eq);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str() + eq + 1, &end);
-    if (end == nullptr || *end != '\0')
-      fail(line_no, "bad numeric value in '" + token + "'");
-    if (!out.emplace(key, value).second)
-      fail(line_no, "duplicate key '" + key + "'");
+    if (!out.emplace(token.substr(0, eq), token.substr(eq + 1)).second)
+      fail(line_no, "duplicate key '" + token.substr(0, eq) + "'");
   }
   return out;
 }
 
-double require(const std::map<std::string, double>& kv, const char* key,
-               std::size_t line_no) {
+template <class T>
+T require(const std::map<std::string, std::string>& kv,
+          const std::string& key, std::size_t line_no) {
   const auto it = kv.find(key);
-  if (it == kv.end()) fail(line_no, std::string("missing key '") + key + "'");
-  return it->second;
+  if (it == kv.end()) fail(line_no, "missing key '" + key + "'");
+  return number<T>(key, it->second, line_no);
 }
 
 }  // namespace
@@ -69,31 +75,32 @@ std::vector<KernelProfile> parseProfiles(std::istream& is) {
       in_kernel = true;
     } else if (!in_kernel) {
       fail(line_no, "'" + keyword + "' outside a kernel block");
-    } else if (keyword == "warps_per_cluster") {
-      if (!(ss >> current.warps_per_cluster))
-        fail(line_no, "warps_per_cluster needs an integer");
-    } else if (keyword == "phase_loops") {
-      if (!(ss >> current.phase_loops))
-        fail(line_no, "phase_loops needs an integer");
+    } else if (keyword == "warps_per_cluster" || keyword == "phase_loops") {
+      std::string value;
+      std::string extra;
+      if (!(ss >> value) || (ss >> extra))
+        fail(line_no, keyword + " needs exactly one integer");
+      int& field = keyword == "phase_loops" ? current.phase_loops
+                                            : current.warps_per_cluster;
+      field = number<int>(keyword, value, line_no);
     } else if (keyword == "phase") {
       std::string rest;
       std::getline(ss, rest);
       const auto kv = parsePairs(rest, line_no);
       PhaseProfile p;
-      p.mix.ialu = require(kv, "ialu", line_no);
-      p.mix.falu = require(kv, "falu", line_no);
-      p.mix.sfu = require(kv, "sfu", line_no);
-      p.mix.load = require(kv, "load", line_no);
-      p.mix.store = require(kv, "store", line_no);
-      p.mix.shared = require(kv, "shared", line_no);
-      p.mix.branch = require(kv, "branch", line_no);
-      p.l1_hit_rate = require(kv, "l1", line_no);
-      p.l2_hit_rate = require(kv, "l2", line_no);
-      p.ilp = static_cast<int>(require(kv, "ilp", line_no));
-      p.divergence = require(kv, "div", line_no);
-      p.dep_prob = require(kv, "dep", line_no);
-      p.insts_per_warp =
-          static_cast<std::int64_t>(require(kv, "insts", line_no));
+      p.mix.ialu = require<double>(kv, "ialu", line_no);
+      p.mix.falu = require<double>(kv, "falu", line_no);
+      p.mix.sfu = require<double>(kv, "sfu", line_no);
+      p.mix.load = require<double>(kv, "load", line_no);
+      p.mix.store = require<double>(kv, "store", line_no);
+      p.mix.shared = require<double>(kv, "shared", line_no);
+      p.mix.branch = require<double>(kv, "branch", line_no);
+      p.l1_hit_rate = require<double>(kv, "l1", line_no);
+      p.l2_hit_rate = require<double>(kv, "l2", line_no);
+      p.ilp = require<int>(kv, "ilp", line_no);
+      p.divergence = require<double>(kv, "div", line_no);
+      p.dep_prob = require<double>(kv, "dep", line_no);
+      p.insts_per_warp = require<std::int64_t>(kv, "insts", line_no);
       current.phases.push_back(p);
     } else if (keyword == "end") {
       current.validate();  // throws DataError with the kernel's name

@@ -374,6 +374,21 @@ TEST_F(CliTest, BadInputsFailWithDiagnostics) {
     EXPECT_NE(out.find("error: bad --"), std::string::npos)
         << bad << ": " << out;
   }
+
+  // A throttle floor above the V/f table's top level is bad input, not a
+  // broken invariant: the run path, the recorder and the rack refuse it.
+  for (const std::string& bad :
+       {std::string("run --workload bfs --mechanism pcstall --thermal "
+                    "floor=20"),
+        "record --workload spmv --thermal floor=20 --out " + dir_ +
+            "/floor.ssmtrace",
+        std::string("dc --gpus 2 --mix spmv --traffic \"shape=steady;jobs=2\" "
+                    "--thermal floor=20")}) {
+    EXPECT_NE(runCli(bad, &out), 0) << bad;
+    EXPECT_NE(out.find("error: bad --thermal spec: floor=20"),
+              std::string::npos)
+        << bad << ": " << out;
+  }
 }
 
 // The record/replay goldens of CI, plus a live `run` cell with faults,
@@ -422,6 +437,29 @@ TEST_F(CliTest, GoldensAreByteIdentical) {
             0)
       << out;
   EXPECT_EQ(slurp(run), slurp(golden + "/run_bfs_pcstall.json"));
+
+  // Two small capped racks: one thermal, one with degraded GPUs running
+  // actuator faults. Each arbitration order the rack has had gives the same
+  // bytes on these; only a rack both thermal and degraded may differ.
+  const std::string rack =
+      "dc --gpus 3 --mix spmv --traffic \"shape=bursty;jobs=5;rate=4;"
+      "burst=3\" --rack-cap 200 --mechanism pcstall ";
+  const std::string thermal = dir_ + "/dc_thermal.jsonl";
+  ASSERT_EQ(runCli(rack + "--thermal \"trip=36.5,ptrip=35.5,hyst=1\" --out " +
+                       thermal,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(thermal), slurp(golden + "/dc_thermal.jsonl"));
+  const std::string degraded = dir_ + "/dc_degraded.jsonl";
+  ASSERT_EQ(runCli(rack +
+                       "--faults \"noise:p=0.3,sigma=0.25;fail:p=0.2;"
+                       "stuck:p=0.05,epochs=6\" --degraded 0,2 --out " +
+                       degraded,
+                   &out),
+            0)
+      << out;
+  EXPECT_EQ(slurp(degraded), slurp(golden + "/dc_degraded.jsonl"));
 }
 
 // A valid scenario reaches the simulator: the run reports injection counts

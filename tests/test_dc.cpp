@@ -16,6 +16,7 @@
 #include "dc/traffic.hpp"
 #include "faults/fault_spec.hpp"
 #include "sched/thread_pool.hpp"
+#include "thermal/thermal_spec.hpp"
 
 namespace ssm {
 namespace {
@@ -440,6 +441,29 @@ TEST(DcRack, DegradedSubsetCarriesTheFaultsAloneAndIsReported) {
   // Out-of-range degraded ids are rejected up front.
   spec.degraded = {7};
   EXPECT_THROW(static_cast<void>(dc::runRack(spec)), ContractError);
+}
+
+TEST(DcRack, ThermalDegradedRackIsDeterministicAndReportsBothLimiters) {
+  // A hot rack whose degraded chips also fail and stick transitions: the
+  // node's idle cooling, heat carry-over, persistent throttle and actuator
+  // faults all run on every node's epoch loop.
+  dc::RackSpec spec = smallRackSpec(8);
+  spec.thermal =
+      thermal::ThermalScenario::parse("trip=34,ptrip=33,hyst=1,recover=4");
+  spec.fault = faults::FaultSpec::parse("fail:p=0.2;stuck:p=0.05,epochs=6");
+  spec.degraded = {1, 3};
+  const dc::RackResult serial = dc::runRack(spec, nullptr);
+  ThreadPool pool(4);
+  const dc::RackResult pooled = dc::runRack(spec, &pool);
+
+  EXPECT_TRUE(serial == pooled);
+  ASSERT_EQ(serial.jobs.size(), pooled.jobs.size());
+  for (std::size_t j = 0; j < serial.jobs.size(); ++j)
+    EXPECT_TRUE(serial.jobs[j] == pooled.jobs[j]) << "job " << j;
+  EXPECT_EQ(serial.completed + serial.unfinished, 20);
+  EXPECT_GT(serial.throttle_epochs, 0);
+  EXPECT_GT(serial.fault_counts.total(), 0);
+  EXPECT_GT(serial.peak_temp_c, thermal::ThermalParams{}.ambient_c);
 }
 
 // ------------------------------------------------------------------- sweep

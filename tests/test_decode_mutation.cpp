@@ -11,11 +11,13 @@
 // mutation so the payload checksum passes and the payload parser sees the
 // mutant.
 //
-// Text inputs: a small model text and valid --faults, --thermal and
-// --traffic specs. Mutants: character flips, truncations, splices, token
-// deletions and hostile numbers (huge, negative, NaN, out of int range) in
-// place of a number. A grammar string that parses must also round-trip:
-// parse(print(x)) prints x again.
+// Text inputs: a small model text, a workload-profile text and valid
+// --faults, --thermal and --traffic specs. Mutants: character flips,
+// truncations, splices, token deletions and hostile numbers (huge,
+// negative, NaN, out of int range) in place of a number. A grammar string
+// that parses must also round-trip: parse(print(x)) prints x again; a
+// profile text that parses must write back to a text that parses and
+// writes to the same bytes.
 
 #include <gtest/gtest.h>
 
@@ -43,6 +45,7 @@
 #include "gpusim/trace.hpp"
 #include "thermal/thermal_spec.hpp"
 #include "workloads/kernel_profile.hpp"
+#include "workloads/profile_io.hpp"
 
 namespace ssm {
 namespace {
@@ -439,6 +442,66 @@ TEST(DecodeMutation, TrafficSpecMutantsParseOrThrowDataError) {
                          "shape=adversarial;jobs=8;burst=4;prio=16"},
                         8, parseRoundTrip<dc::TrafficSpec>),
             0);
+}
+
+/// A small valid workload-profile text: two kernels, one of them two-phase.
+std::string profileImage() {
+  return "# two kernels\n"
+         "kernel k1 custom\nwarps_per_cluster 8\nphase_loops 2\n"
+         "phase ialu=0.4 falu=0.2 sfu=0 load=0.2 store=0.05 shared=0.05 "
+         "branch=0.1 l1=0.8 l2=0.5 ilp=4 div=0.1 dep=0.25 insts=1000\n"
+         "phase ialu=0.3 falu=0.1 sfu=0.05 load=0.3 store=0.1 shared=0.1 "
+         "branch=0.05 l1=0.6 l2=0.4 ilp=2 div=0.2 dep=0.5 insts=700\n"
+         "end\n"
+         "kernel k2 rodinia\nwarps_per_cluster 16\nphase_loops 1\n"
+         "phase ialu=0.9 falu=0 sfu=0 load=0.05 store=0 shared=0 "
+         "branch=0.05 l1=0.9 l2=0.9 ilp=8 div=0 dep=0.1 insts=2500\n"
+         "end\n";
+}
+
+/// Parses a profile text; whatever is accepted must write back to a text
+/// that parses and writes to the same bytes again.
+void profileRoundTrip(const std::string& text) {
+  std::istringstream is(text);
+  std::ostringstream once;
+  writeProfiles(parseProfiles(is), once);
+  std::istringstream back(once.str());
+  std::ostringstream twice;
+  try {
+    writeProfiles(parseProfiles(back), twice);
+  } catch (const DataError& e) {
+    throw std::logic_error("written profile rejected: " +
+                           std::string(e.what()));
+  }
+  if (twice.str() != once.str())
+    throw std::logic_error("profile wrote back as '" + twice.str() + "'");
+}
+
+TEST(DecodeMutation, ProfileTextMutantsParseOrThrowDataError) {
+  profileRoundTrip(profileImage());
+  EXPECT_EQ(textEscapes({profileImage()}, 9, profileRoundTrip), 0);
+}
+
+TEST(DecodeMutation, ProfileTextRejectsInexactAndNonFiniteNumbers) {
+  const std::string good = profileImage();
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"ilp=4", "ilp=1e300"},
+        {"ilp=4", "ilp=2.7"},
+        {"ilp=4", "ilp=4294967300"},
+        {"insts=1000", "insts=1e5"},
+        {"insts=1000", "insts=9223372036854775808"},
+        {"l1=0.8", "l1=nan"},
+        {"l1=0.8", "l1=inf"},
+        {"l1=0.8", "l1=0x1p-1"},
+        {"warps_per_cluster 8", "warps_per_cluster 8x"},
+        {"warps_per_cluster 8", "warps_per_cluster 8 9"},
+        {"phase_loops 2", "phase_loops 2.5"},
+        {"phase_loops 2", "phase_loops"}}) {
+    std::string bad = good;
+    bad.replace(bad.find(from), from.size(), to);
+    std::istringstream is(bad);
+    EXPECT_THROW(static_cast<void>(parseProfiles(is)), DataError) << to;
+  }
 }
 
 TEST(DecodeMutation, GrammarsRejectNaNAndOutOfRangeIntegers) {

@@ -137,6 +137,15 @@ TEST(LintGpuStepping, FlagsDirectSteppingOutsideTheSteppingSites) {
         lintSource(path, "auto r = gpu.runEpoch(levels);\n"), "gpu-stepping"))
         << path;
   }
+  // Outside src/engine/, stepping an epoch stream by hand is a second epoch
+  // loop: the rack's nodes run their jobs through engine::EpochLoop.
+  for (const char* path : {"src/dc/gpu_node.cpp", "src/sched/x.cpp",
+                           "src/gpusim/gpu.cpp"}) {
+    EXPECT_TRUE(hasRule(
+        lintSource(path, "auto r = sim_->nextEpoch(levels_);\n"),
+        "gpu-stepping"))
+        << path;
+  }
 }
 
 TEST(LintGpuStepping, AllowsTheSteppingSitesTestsAndUnrelatedNames) {
@@ -148,6 +157,14 @@ TEST(LintGpuStepping, AllowsTheSteppingSitesTestsAndUnrelatedNames) {
         "bench/b.cpp", "tools/t.cpp"}) {
     EXPECT_FALSE(hasRule(
         lintSource(path, "auto r = gpu.runEpoch(levels);\n"), "gpu-stepping"))
+        << path;
+  }
+  // Every engine file may step an EpochSource; the loop and its sources do.
+  for (const char* path : {"src/engine/epoch_loop.cpp",
+                           "src/engine/power_capped_source.hpp"}) {
+    EXPECT_FALSE(hasRule(
+        lintSource(path, "auto r = inner.nextEpoch(levels);\n"),
+        "gpu-stepping"))
         << path;
   }
   // A free function or an unrelated member does not trip the rule.

@@ -68,6 +68,13 @@ TEST(DenseLayer, HeInitStatistics) {
   for (double b : layer.bias()) EXPECT_DOUBLE_EQ(b, 0.0);
 }
 
+TEST(DenseLayer, RejectsNonPositiveDimsBeforeAllocating) {
+  Rng rng(3);
+  EXPECT_THROW(DenseLayer(-3, 4, rng), ContractError);
+  EXPECT_THROW(DenseLayer(4, -3, rng), ContractError);
+  EXPECT_THROW(DenseLayer(0, 4, rng), ContractError);
+}
+
 TEST(DenseLayer, MaskZeroesWeights) {
   Rng rng(2);
   DenseLayer layer(4, 3, rng);

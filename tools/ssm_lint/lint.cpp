@@ -51,10 +51,11 @@ constexpr std::array<RuleInfo, 17> kRules = {{
     {"gpu-stepping",
      "no direct Gpu stepping (.runEpoch/.runEpochUniform/.runUntil calls) in "
      "src/ outside src/gpusim/, the SimBackend adapter "
-     "(src/engine/sim_backend.*) and the fork engine (src/engine/fork.*) — "
-     "branch machines through engine::GpuFork/GpuBranch or drive them "
-     "through engine::EpochLoop so trace recording, fault hooks and replay "
-     "stay loop concerns"},
+     "(src/engine/sim_backend.*) and the fork engine (src/engine/fork.*), "
+     "and no epoch-stream stepping (.nextEpoch calls) in src/ outside "
+     "src/engine/ — branch machines through engine::GpuFork/GpuBranch or "
+     "drive them through engine::EpochLoop so arbitration, trace recording, "
+     "fault hooks and replay stay loop concerns"},
     {"layer-order",
      "the include graph must respect the checked-in layer map "
      "(tools/ssm_lint/layers.txt): a file may include same-layer or "
@@ -171,6 +172,7 @@ struct PathClass {
   bool alloc_free = false;   // kAllocFreeFiles (packed decision path)
   bool gpu_stepper = false;  // src/gpusim/**, src/engine/sim_backend.* or
                              // src/engine/fork.* (may step a Gpu)
+  bool in_engine = false;    // src/engine/** (may step an EpochSource)
   bool det_scope = false;    // src/** or tools/** (determinism dataflow rules)
   bool simd_scope = false;   // det_scope or bench/** (intrinsic containment)
 };
@@ -185,6 +187,7 @@ PathClass classify(std::string_view path) {
                 path.starts_with("src/thermal/");
   pc.alloc_free = std::any_of(kAllocFreeFiles.begin(), kAllocFreeFiles.end(),
                               [&](std::string_view f) { return path == f; });
+  pc.in_engine = path.starts_with("src/engine/");
   pc.gpu_stepper = path.starts_with("src/gpusim/") ||
                    path.starts_with("src/engine/sim_backend.") ||
                    path.starts_with("src/engine/fork.");
@@ -489,6 +492,13 @@ class FileCheck {
                     "machines through engine::GpuFork/GpuBranch or drive "
                     "them through engine::EpochLoop, or allowlist this "
                     "file"}));
+      if (pc_.in_src && !pc_.in_engine && call && word == "nextEpoch" &&
+          precededByMemberAccess(k))
+        report(t.line, "gpu-stepping",
+               "epoch-stream stepping '.nextEpoch(' outside src/engine/; "
+               "drive the source through engine::EpochLoop so arbitration, "
+               "fault hooks and traces stay loop concerns, or allowlist this "
+               "file");
 
       if (pc_.alloc_free) checkHotPathAlloc(k, word, call, paren_depth);
 

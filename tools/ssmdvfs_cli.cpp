@@ -413,12 +413,9 @@ int cmdRecord(const Args& args) {
   // committed goldens keep their bytes).
   const thermal::ThermalScenario scenario =
       thermal::ThermalScenario::parse(args.get("thermal"));
-  std::optional<thermal::ThermalThrottle> throttle;
-  if (scenario.enabled) {
-    machine.attachThermal(scenario.params);
-    throttle.emplace(scenario.throttle, gpu.num_clusters,
-                     static_cast<int>(vf.defaultLevel()));
-  }
+  std::optional<thermal::ThermalThrottle> throttle =
+      scenario.makeThrottle(vf, gpu.num_clusters);
+  if (scenario.enabled) machine.attachThermal(scenario.params);
 
   const auto factory =
       fleet::makeGovernorFactory(mech, vf, preset, modelFor(args, mech));
